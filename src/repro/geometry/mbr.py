@@ -50,6 +50,19 @@ class MBR:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def _unchecked(cls, low: Vector, high: Vector) -> "MBR":
+        """A box from float tuples already known to form a valid box.
+
+        Skips the per-coordinate conversion and the ``low <= high`` check;
+        only for corners that came out of a validated box, such as the
+        ones :func:`~repro.rtree.serial.serialize_node` wrote to a page.
+        """
+        box = object.__new__(cls)
+        box.low = low
+        box.high = high
+        return box
+
+    @classmethod
     def from_point(cls, point: Sequence[float]) -> "MBR":
         """The degenerate box containing exactly ``point``."""
         return cls(point, point)

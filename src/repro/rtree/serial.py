@@ -100,21 +100,22 @@ def deserialize_node(node_id: int, data: bytes) -> Tuple[RTreeNode, int]:
     magic, _flags, level, count, dims = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise SerializationError(f"page {node_id} has bad magic {magic:#x}")
-    entries = []
-    offset = _HEADER_SIZE
+    fmt = _leaf_struct(dims) if level == 0 else _branch_struct(dims)
+    end = _HEADER_SIZE + count * fmt.size
+    if len(data) < end:
+        raise SerializationError(
+            f"page {node_id} holds {len(data)} bytes; its {count} entries "
+            f"need {end}"
+        )
+    # Page bytes only ever come from serialize_node over valid boxes, so
+    # the corners are rebuilt without MBR's per-coordinate checks.
+    box = MBR._unchecked
+    body = fmt.iter_unpack(memoryview(data)[_HEADER_SIZE:end])
     if level == 0:
-        fmt = _leaf_struct(dims)
-        for _ in range(count):
-            values = fmt.unpack_from(data, offset)
-            offset += fmt.size
-            point = values[1:]
-            entries.append(Entry(MBR(point, point), values[0]))
+        entries = [Entry(box(values[1:], values[1:]), values[0])
+                   for values in body]
     else:
-        fmt = _branch_struct(dims)
-        for _ in range(count):
-            values = fmt.unpack_from(data, offset)
-            offset += fmt.size
-            low = values[1:1 + dims]
-            high = values[1 + dims:]
-            entries.append(Entry(MBR(low, high), values[0]))
+        split = 1 + dims
+        entries = [Entry(box(values[1:split], values[split:]), values[0])
+                   for values in body]
     return RTreeNode(node_id, level, entries), dims

@@ -17,12 +17,14 @@ maintenance after a member is removed never restarts from the root (see
 from __future__ import annotations
 
 import heapq
-from typing import AbstractSet, List, Optional, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..rtree.entry import Entry
 from ..rtree.tree import RTree
 from ..storage.stats import SearchStats
-from .state import SkylineState
+from .state import PrunedItem, SkylineState
 
 #: Heap item: (mindist key, is_point, child id, containing-node level, entry).
 #: Branches pop before equal-key points; equal-key points pop by object id.
@@ -37,6 +39,28 @@ def push_entry(heap: List[HeapItem], entry: Entry, node_level: int,
     heapq.heappush(heap, (key, is_point, entry.child, node_level, entry))
     if stats is not None:
         stats.heap_pushes += 1
+
+
+def park_or_push(state: SkylineState, heap: List[HeapItem],
+                 items: Sequence[PrunedItem],
+                 stats: Optional[SearchStats] = None) -> None:
+    """Park each ``(entry, level)`` under its earliest dominator, or push it.
+
+    All items are tested in one :meth:`SkylineState.first_dominators`
+    call. That is exact because parking and pushing never change the
+    skyline's members, so every item sees the state the first one saw.
+    """
+    if not items:
+        return
+    if stats is not None:
+        stats.dominance_checks += len(items)
+    owners = state.first_dominators(
+        np.array([entry.mbr.high for entry, _ in items], dtype=np.float64))
+    for item, owner in zip(items, owners.tolist()):
+        if owner < 0:
+            push_entry(heap, item[0], item[1], stats)
+        else:
+            state.park(owner, item)
 
 
 def bbs_loop(tree: RTree, heap: List[HeapItem], state: SkylineState,
@@ -72,20 +96,10 @@ def bbs_loop(tree: RTree, heap: List[HeapItem], state: SkylineState,
             admitted.append(child)
             continue
         node = tree.read_node(child)
-        for sub_entry in node.entries:
-            if (
-                node.level == 0
-                and excluded is not None
-                and sub_entry.child in excluded
-            ):
-                continue
-            if stats is not None:
-                stats.dominance_checks += 1
-            owner = state.first_dominator(sub_entry.mbr.high)
-            if owner is not None:
-                state.park(owner, (sub_entry, node.level))
-            else:
-                push_entry(heap, sub_entry, node.level, stats)
+        entries = node.entries
+        if node.level == 0 and excluded is not None:
+            entries = [e for e in entries if e.child not in excluded]
+        park_or_push(state, heap, [(e, node.level) for e in entries], stats)
     return [object_id for object_id in admitted if object_id in state]
 
 

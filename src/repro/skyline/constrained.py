@@ -23,7 +23,7 @@ from ..errors import DimensionalityError
 from ..geometry import MBR
 from ..rtree.tree import RTree
 from ..storage.stats import SearchStats
-from .bbs import HeapItem, _admit_point, push_entry
+from .bbs import HeapItem, _admit_point, park_or_push, push_entry
 from .state import PrunedItem, SkylineState
 
 
@@ -48,16 +48,8 @@ def _constrained_loop(tree: RTree, region: MBR, heap: List[HeapItem],
             admitted.append(child)
             continue
         node = tree.read_node(child)
-        for sub_entry in node.entries:
-            if not region.intersects(sub_entry.mbr):
-                continue
-            if stats is not None:
-                stats.dominance_checks += 1
-            owner = state.first_dominator(sub_entry.mbr.high)
-            if owner is not None:
-                state.park(owner, (sub_entry, node.level))
-            else:
-                push_entry(heap, sub_entry, node.level, stats)
+        park_or_push(state, heap, [(e, node.level) for e in node.entries
+                                   if region.intersects(e.mbr)], stats)
     return [object_id for object_id in admitted if object_id in state]
 
 
@@ -88,14 +80,6 @@ def constrained_update_after_removal(
     points can neither join the skyline nor shadow in-region candidates.
     """
     heap: List[HeapItem] = []
-    for entry, level in orphaned:
-        if not region.intersects(entry.mbr):
-            continue
-        if stats is not None:
-            stats.dominance_checks += 1
-        owner = state.first_dominator(entry.mbr.high)
-        if owner is not None:
-            state.park(owner, (entry, level))
-        else:
-            push_entry(heap, entry, level, stats)
+    park_or_push(state, heap, [item for item in orphaned
+                               if region.intersects(item[0].mbr)], stats)
     return _constrained_loop(tree, region, heap, state, stats)

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterable, List, Optional, Set
 
+import numpy as np
+
 from ..rtree.entry import Entry
 from ..rtree.tree import RTree
 from ..storage.stats import SearchStats
-from .bbs import HeapItem, _admit_point, bbs_loop, push_entry
+from .bbs import HeapItem, _admit_point, bbs_loop, park_or_push, push_entry
 from .state import PrunedItem, SkylineState
 
 
@@ -42,16 +44,12 @@ def update_after_removal(tree: RTree, state: SkylineState,
     ids (assigned or logically deleted) are dropped instead of reinstated.
     """
     heap: List[HeapItem] = []
-    for entry, level in orphaned:
-        if level == 0 and excluded is not None and entry.child in excluded:
-            continue
-        if stats is not None:
-            stats.dominance_checks += 1
-        owner = state.first_dominator(entry.mbr.high)
-        if owner is not None:
-            state.park(owner, (entry, level))
-        else:
-            push_entry(heap, entry, level, stats)
+    if excluded is None:
+        items = list(orphaned)
+    else:
+        items = [item for item in orphaned
+                 if item[1] != 0 or item[0].child not in excluded]
+    park_or_push(state, heap, items, stats)
     return bbs_loop(tree, heap, state, stats, excluded=excluded)
 
 
@@ -129,11 +127,16 @@ def recompute_with_pruning(tree: RTree, state: SkylineState,
             admitted.append(child)
             continue
         node = tree.read_node(child)
-        for sub_entry in node.entries:
-            if stats is not None:
-                stats.dominance_checks += 1
-            if node.level == 0 and sub_entry.child in excluded:
-                continue
-            if state.first_dominator(sub_entry.mbr.high) is None:
+        entries = node.entries
+        if stats is not None:
+            stats.dominance_checks += len(entries)
+        if node.level == 0:
+            entries = [e for e in entries if e.child not in excluded]
+        if not entries:
+            continue
+        owners = state.first_dominators(
+            np.array([e.mbr.high for e in entries], dtype=np.float64))
+        for sub_entry, owner in zip(entries, owners.tolist()):
+            if owner < 0:
                 push_entry(heap, sub_entry, node.level, stats)
     return admitted

@@ -26,6 +26,11 @@ from ..rtree.entry import Entry
 #: at ``level - 1``).
 PrunedItem = Tuple[Entry, int]
 
+#: Rows per :meth:`SkylineState.first_dominators` pass; bounds its
+#: ``(rows, members)`` comparison mask (an orphan pass can hold thousands
+#: of entries, an anti-correlated skyline thousands of members).
+KERNEL_CHUNK_ROWS = 512
+
 
 class SkylineState:
     """Current skyline of the remaining objects, with pruned lists."""
@@ -77,6 +82,8 @@ class SkylineState:
         """Admit a new skyline member with an empty pruned list."""
         if object_id in self._points:
             raise ReproError(f"object {object_id} is already in the skyline")
+        if object_id < 0:  # -1 means "no dominator" in first_dominators()
+            raise ReproError(f"object ids must be non-negative, got {object_id}")
         if len(point) != self.dims:
             raise DimensionalityError(self.dims, len(point), "point")
         point = tuple(float(v) for v in point)
@@ -109,19 +116,49 @@ class SkylineState:
         For a point argument this decides skyline membership; for the
         *high corner of a box* it decides whether the whole box can be
         pruned (a point dominating the best corner dominates everything
-        inside).
+        inside). A one-row call of :meth:`first_dominators`.
         """
-        if self._size == 0:
-            return None
         probe = np.asarray(point, dtype=np.float64)
         if probe.shape != (self.dims,):
             raise DimensionalityError(self.dims, probe.size, "point")
-        rows = self._matrix[: self._size]
-        mask = self._active[: self._size] & (rows >= probe).all(axis=1)
-        index = int(np.argmax(mask))
-        if not mask[index]:
-            return None
-        return int(self._row_ids[index])
+        owner = int(self.first_dominators(probe[None, :])[0])
+        return None if owner < 0 else owner
+
+    def first_dominators(self, highs: np.ndarray) -> np.ndarray:
+        """:meth:`first_dominator` for every row of an ``(n, dims)`` array.
+
+        Returns an ``(n,)`` int64 array holding, per row, the id of the
+        earliest-admitted member weakly dominating it, or ``-1``. Rows
+        are tested in chunks of :data:`KERNEL_CHUNK_ROWS`, one vectorized
+        comparison per dimension against every member, so BBS pays one
+        call per expanded node rather than one per entry.
+        """
+        highs = np.asarray(highs, dtype=np.float64)
+        if highs.ndim != 2 or highs.shape[1] != self.dims:
+            raise DimensionalityError(
+                self.dims, highs.shape[-1] if highs.ndim else 0,
+                f"highs array of shape {highs.shape}",
+            )
+        owners = np.full(len(highs), -1, dtype=np.int64)
+        size = self._size
+        rows = self._matrix[:size]
+        ids = self._row_ids[:size]
+        if len(self._points) != size:  # tombstones present
+            live = self._active[:size]
+            rows = rows[live]
+            ids = ids[live]
+        if len(ids) == 0:
+            return owners
+        for start in range(0, len(highs), KERNEL_CHUNK_ROWS):
+            chunk = highs[start:start + KERNEL_CHUNK_ROWS]
+            mask = chunk[:, 0, None] <= rows[:, 0]
+            for dim in range(1, self.dims):
+                mask &= chunk[:, dim, None] <= rows[:, dim]
+            # Rows are in admission order: the first hit is the earliest.
+            first = mask.argmax(axis=1)
+            hit = mask[np.arange(len(chunk)), first]
+            owners[start:start + len(chunk)] = np.where(hit, ids[first], -1)
+        return owners
 
     def dominated_members(self, point: Sequence[float]) -> List[int]:
         """Members weakly dominated by ``point`` (insertion order).

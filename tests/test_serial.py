@@ -98,6 +98,19 @@ def test_truncated_page_rejected():
         deserialize_node(0, b"\x5a\x00")
 
 
+# 3-D entries: 32 bytes per leaf entry, 56 per branch entry.
+@pytest.mark.parametrize("make,cut", [
+    (leaf_node, 40),            # 1 of the 5 announced leaf entries
+    (leaf_node, 8 + 2 * 32),    # 2 of 5: whole entries, no struct error
+    (branch_node, 8 + 56 + 3),  # cut inside the second branch entry
+    (leaf_node, 8),             # header only
+])
+def test_page_shorter_than_its_entry_count_rejected(make, cut):
+    data = serialize_node(make(), 3, 4096)
+    with pytest.raises(SerializationError, match="entries need"):
+        deserialize_node(0, data[:cut])
+
+
 def test_wrong_dims_entry_rejected():
     node = RTreeNode(0, 0, [Entry.for_object(1, (0.1, 0.2))])
     with pytest.raises(SerializationError):

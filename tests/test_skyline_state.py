@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import DimensionalityError, ReproError
 from repro.rtree import Entry
 from repro.skyline import SkylineState
+from repro.skyline.state import KERNEL_CHUNK_ROWS
 
 
 def test_add_and_lookup():
@@ -107,3 +110,111 @@ def test_park_appends_in_order():
         state.park(0, item)
     assert state.plist(0) == items
     assert state.plist_sizes() == {0: 3}
+
+
+def test_negative_id_rejected():
+    # -1 is first_dominators()' "no dominator" marker.
+    with pytest.raises(ReproError):
+        SkylineState(2).add(-1, (0.5, 0.5))
+
+
+# ----------------------------------------------------------------------
+# first_dominators: the batched kernel against a one-row-at-a-time model
+# ----------------------------------------------------------------------
+# A coarse grid makes ties (equal coordinates, duplicate points) common.
+grid = st.integers(min_value=0, max_value=3).map(lambda v: v / 3)
+
+
+def reference_first_dominators(admitted, highs):
+    """Per row: the earliest admitted member weakly dominating it, else -1."""
+    owners = []
+    for row in highs:
+        owner = -1
+        for object_id, point in admitted:
+            if all(p >= h for p, h in zip(point, row)):
+                owner = object_id
+                break
+        owners.append(owner)
+    return owners
+
+
+def assert_kernel_matches(state, admitted, highs):
+    highs = np.asarray(highs, dtype=np.float64).reshape(-1, state.dims)
+    owners = state.first_dominators(highs)
+    assert owners.dtype == np.int64 and owners.shape == (len(highs),)
+    assert owners.tolist() == reference_first_dominators(admitted, highs)
+    for row, owner in zip(highs, owners.tolist()):
+        assert state.first_dominator(row) == (None if owner < 0 else owner)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.integers(min_value=1, max_value=4), data=st.data())
+def test_first_dominators_match_reference_with_tombstones(dims, data):
+    vectors = st.tuples(*([grid] * dims))
+    points = data.draw(st.lists(vectors, max_size=40))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(points),
+                              max_size=len(points)))
+    highs = data.draw(st.lists(vectors, max_size=30))
+    state = SkylineState(dims)
+    for object_id, point in enumerate(points):
+        state.add(object_id, point)
+    for object_id, keep in enumerate(kept):
+        if not keep:
+            state.remove(object_id)  # leaves a tombstoned row
+    admitted = [(i, p) for i, (p, keep) in enumerate(zip(points, kept)) if keep]
+    # Probe with the members' own points too: equality is domination.
+    assert_kernel_matches(state, admitted, highs + points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_first_dominators_match_reference_after_compaction(data):
+    vectors = st.tuples(grid, grid, grid)
+    first = data.draw(st.lists(vectors, min_size=64, max_size=64))
+    dropped = data.draw(st.sets(st.integers(0, 63), min_size=32))
+    later = data.draw(st.lists(vectors, min_size=1, max_size=20))
+    highs = data.draw(st.lists(vectors, max_size=30))
+    state = SkylineState(3)
+    for object_id, point in enumerate(first):
+        state.add(object_id, point)
+    for object_id in dropped:
+        state.remove(object_id)
+    # The 65th row finds the index full and half tombstones: compaction.
+    for object_id, point in enumerate(later, start=64):
+        state.add(object_id, point)
+    assert state._size == 64 - len(dropped) + len(later)
+    admitted = [(i, p) for i, p in enumerate(first) if i not in dropped]
+    admitted += list(enumerate(later, start=64))
+    assert_kernel_matches(state, admitted, highs + first + later)
+
+
+def test_first_dominators_across_chunks():
+    rng = np.random.default_rng(35)
+    state = SkylineState(2)
+    admitted = []
+    for object_id in range(300):
+        point = tuple(rng.integers(0, 6, 2) / 5)
+        state.add(object_id, point)
+        admitted.append((object_id, point))
+    highs = rng.integers(0, 6, (2 * KERNEL_CHUNK_ROWS + 7, 2)) / 5
+    assert_kernel_matches(state, admitted, highs)
+
+
+def test_first_dominators_empty_state_and_zero_rows():
+    state = SkylineState(3)
+    assert state.first_dominators(np.zeros((4, 3))).tolist() == [-1] * 4
+    assert state.first_dominators(np.zeros((0, 3))).shape == (0,)
+    state.add(0, (0.5, 0.5, 0.5))
+    assert state.first_dominators(np.zeros((0, 3))).shape == (0,)
+    state.remove(0)  # only a tombstone left
+    assert state.first_dominators(np.zeros((2, 3))).tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("highs", [
+    np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((1, 1, 3)),
+])
+def test_first_dominators_wrong_width_rejected(highs):
+    state = SkylineState(3)
+    state.add(0, (0.5, 0.5, 0.5))
+    with pytest.raises(DimensionalityError):
+        state.first_dominators(highs)
