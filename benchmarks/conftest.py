@@ -15,9 +15,13 @@ below.
 
 from __future__ import annotations
 
-from repro.bench import PAPER_NUM_FUNCTIONS, PAPER_NUM_OBJECTS, bench_scale
+from repro.bench.matrix.config import bench_scale
 
 SEED = 42
+
+#: The paper's cardinalities, |O| and |F|, before scaling.
+PAPER_NUM_OBJECTS = 100_000
+PAPER_NUM_FUNCTIONS = 5_000
 
 
 def scaled_objects(scale=None):

@@ -1,58 +1,11 @@
-"""Benchmark harness reproducing the paper's evaluation section."""
+"""Benchmarks reproducing the paper's evaluation section.
 
-from .figures import (
-    PAPER_DIMENSIONS,
-    PAPER_NUM_FUNCTIONS,
-    PAPER_NUM_OBJECTS,
-    PAPER_ZILLOW_SIZES,
-    figure2_sweep,
-    figure3_sweep,
-)
-from .ablations import SB_VARIANTS, format_ablation_table, run_sb_ablations
-from .instruments import RunMeasurement, measure_matcher
-from .record import (
-    load_sweep_json,
-    save_sweep_json,
-    sweep_to_dict,
-    sweep_to_markdown,
-)
-from .report import format_figure, format_sweep_table, orders_of_magnitude
-from .runner import (
-    ALGORITHMS,
-    BENCH_CONFIGS,
-    DEFAULT_ALGORITHM_ORDER,
-    Sweep,
-    SweepPoint,
-    bench_scale,
-    resolve_algorithms,
-    run_point,
-)
+Every measurement is a cell of the declarative benchmark matrix,
+:mod:`repro.bench.matrix`: the paper's Figures 2-3, the Section IV
+design ablations and each subsystem's acceptance bar are shipped
+configs, run with ``python -m repro.bench run --config <name>``
+(``python -m repro.bench list`` names them). :mod:`repro.bench.net`
+holds the subprocess plumbing of the socket-serving cells.
+"""
 
-__all__ = [
-    "SB_VARIANTS",
-    "format_ablation_table",
-    "run_sb_ablations",
-    "PAPER_DIMENSIONS",
-    "PAPER_NUM_FUNCTIONS",
-    "PAPER_NUM_OBJECTS",
-    "PAPER_ZILLOW_SIZES",
-    "figure2_sweep",
-    "figure3_sweep",
-    "RunMeasurement",
-    "measure_matcher",
-    "load_sweep_json",
-    "save_sweep_json",
-    "sweep_to_dict",
-    "sweep_to_markdown",
-    "format_figure",
-    "format_sweep_table",
-    "orders_of_magnitude",
-    "ALGORITHMS",
-    "BENCH_CONFIGS",
-    "DEFAULT_ALGORITHM_ORDER",
-    "Sweep",
-    "SweepPoint",
-    "bench_scale",
-    "resolve_algorithms",
-    "run_point",
-]
+__all__: list = []

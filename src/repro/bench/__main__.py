@@ -1,7 +1,10 @@
-"""``python -m repro.bench`` dispatch."""
+"""``python -m repro.bench`` — the benchmark matrix CLI.
 
-import sys
+The same command as ``python -m repro.bench.matrix``; see
+:mod:`repro.bench.matrix.cli`.
+"""
 
-from .cli import main
+from .matrix.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,15 +3,16 @@
 
 One declarative :class:`MatrixConfig` sweeps algorithm × backend ×
 shards × executor × batch size × cache (plus dynamic-churn and
-replay-scenario axes) through one runner built on the existing bench
-instruments. Every cell's matching is asserted pair-identical to the
-canonical matcher, thresholds are enforced by declarative *gates*, and
-runs persist as schema-validated artifacts — including the committed
-``BENCH_<pr>.json`` trajectory that ``--check`` regresses against.
+replay-scenario axes) through one runner; it is the repo's only
+benchmark harness. Every cell's matching is asserted pair-identical to
+the canonical matcher, thresholds are enforced by declarative *gates*,
+and runs persist as schema-validated artifacts — including the
+committed ``BENCH_<pr>.json`` trajectory that ``--check`` regresses
+against.
 
 See ``docs/guides/benchmarks.md`` for the config reference and the
-trajectory workflow; ``python -m repro.bench.matrix list`` prints the
-shipped configs.
+trajectory workflow; ``python -m repro.bench list`` (or
+``python -m repro.bench.matrix list``) prints the shipped configs.
 """
 
 from .cells import CellResult, MatrixContext, run_cell

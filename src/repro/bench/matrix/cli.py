@@ -1,6 +1,8 @@
 # lint: replay-root
 """Command-line front-end: ``python -m repro.bench.matrix``.
 
+``python -m repro.bench`` is the same command.
+
 ``run`` executes a named (or file-based) config, writes validated
 artifacts, and optionally records or checks a trajectory::
 
@@ -23,10 +25,10 @@ import sys
 from typing import List, Optional, TextIO
 
 from ...errors import BenchError
-from ..runner import bench_scale
 from .config import (
     MatrixConfig,
     available_configs,
+    bench_scale,
     expand_cells,
     load_config,
     load_named_config,
@@ -42,7 +44,7 @@ from .trajectory import (
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.matrix",
+        prog="python -m repro.bench",
         description="Run a declarative benchmark/ablation matrix.",
     )
     commands = parser.add_subparsers(dest="command", required=True)

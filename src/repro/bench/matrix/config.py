@@ -13,8 +13,8 @@ config line plus an enforced gate, not ad-hoc benchmark code.
 Grid kinds and their axes:
 
 ``match``
-    One cold matcher execution per cell, measured with the
-    :mod:`repro.bench.instruments` protocol.
+    One matcher execution per cell on a cold buffer (the paper's
+    protocol: index building excluded).
     Axes: ``algorithm``, ``backend``, ``shards``, ``executor``,
     ``dims``, ``objects``.
 ``serving``
@@ -29,6 +29,10 @@ Grid kinds and their axes:
 ``replay``
     A scenario trace replayed with freshness verification and an exact
     rewind check. Axes: ``scenario``, ``backend``.
+``net``
+    In-process ``submit_many`` vs the same stream served by a
+    ``python -m repro.net.server`` subprocess over the loopback.
+    Axis: ``batch``.
 
 Examples
 --------
@@ -49,6 +53,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -62,8 +68,27 @@ from typing import (
     Union,
 )
 
+from ...engine import MatchingConfig
 from ...errors import MatrixConfigError
-from ..runner import BENCH_CONFIGS
+
+#: Bench panel name (the ``algorithm`` axis) -> full engine configuration.
+BENCH_CONFIGS: Dict[str, MatchingConfig] = {
+    "SB": MatchingConfig(algorithm="sb"),
+    "BruteForce": MatchingConfig(algorithm="bf"),
+    "Chain": MatchingConfig(algorithm="chain"),
+    # Reference algorithms (not part of the paper's figures).
+    "GaleShapley": MatchingConfig(algorithm="gs"),
+    "GenericSB": MatchingConfig(algorithm="generic-sb"),
+    # Ablation variants (not part of the paper's figures).
+    "SB-single": MatchingConfig(algorithm="sb", multi_pair=False),
+    "SB-retraversal": MatchingConfig(algorithm="sb",
+                                     maintenance="retraversal"),
+    "SB-naive-threshold": MatchingConfig(algorithm="sb", threshold="naive"),
+    "SB-nocache": MatchingConfig(algorithm="sb", cache_best=False),
+    "Chain-stack": MatchingConfig(algorithm="chain", restart=False),
+    "BruteForce-filter": MatchingConfig(algorithm="bf",
+                                        deletion_mode="filter"),
+}
 
 #: Grid kinds and the axes each one understands, in canonical order.
 KIND_AXES: Dict[str, Tuple[str, ...]] = {
@@ -73,6 +98,7 @@ KIND_AXES: Dict[str, Tuple[str, ...]] = {
     "throughput": ("algorithm", "backend", "batch"),
     "dynamic": ("algorithm", "backend", "churn"),
     "replay": ("scenario", "backend"),
+    "net": ("batch",),
 }
 
 #: Executors a matrix cell may use (``remote`` needs worker processes
@@ -100,7 +126,7 @@ class GridWorkload:
     factor, floored at ``min_objects``/``min_functions``. The remaining
     knobs are read by specific kinds only: ``num_queries`` (serving),
     ``functions_per_request``/``num_requests``/``identity_sample``
-    (throughput), ``trace_scale`` (replay), ``repeats`` (match).
+    (throughput, net), ``trace_scale`` (replay), ``repeats`` (match).
     """
 
     generator: str = "independent"
@@ -262,6 +288,39 @@ class CellSpec:
 
 
 # ----------------------------------------------------------------------
+# Workload scale
+# ----------------------------------------------------------------------
+
+def validate_scale(scale: float, source: str = "workload scale") -> float:
+    """``scale`` itself if it is a finite factor > 0, else an error."""
+    if not math.isfinite(scale) or scale <= 0:
+        raise MatrixConfigError(
+            f"{source} must be a finite number > 0, got {scale!r}"
+        )
+    return scale
+
+
+def bench_scale(default: float = 0.05) -> float:
+    """Global workload scale factor, from ``REPRO_BENCH_SCALE``.
+
+    The paper runs |O| up to 400K objects in C++; the default of 0.05
+    (the pytest wrappers') keeps the pure-Python suite to minutes while
+    preserving every qualitative relationship; the matrix CLI defaults
+    to 1.0, the paper's exact cardinalities.
+    """
+    raw = os.environ.get("REPRO_BENCH_SCALE")
+    if raw is None:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        raise MatrixConfigError(
+            f"REPRO_BENCH_SCALE must be a number, got {raw!r}"
+        ) from None
+    return validate_scale(value, "REPRO_BENCH_SCALE")
+
+
+# ----------------------------------------------------------------------
 # Axis domains
 # ----------------------------------------------------------------------
 
@@ -369,6 +428,12 @@ def _normalize_grid(grid: GridSpec) -> GridSpec:
                 f"grid {grid.name!r}: the zillow generator is fixed at "
                 f"5 attributes; set dims to 5"
             )
+    if grid.kind == "net" and grid.workload.generator != "independent":
+        raise MatrixConfigError(
+            f"grid {grid.name!r}: net grids need the independent "
+            f"generator (the server subprocess regenerates its catalog "
+            f"with it)"
+        )
     needs_repair = grid.kind == "dynamic" or (
         "shards" in axes and max(axes["shards"]) > 1
     )

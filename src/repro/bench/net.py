@@ -19,29 +19,24 @@ JSON codec, framing, asyncio dispatch, and a second Python process):
 
 The CI acceptance bar (``benchmarks/bench_net.py``) is networked
 throughput ≥ 0.5x in-process at batch 32 — the wire may at most double
-the cost of a served batch on the loopback.
+the cost of a served batch on the loopback. The matrix's ``net`` grid
+kind runs :func:`run_net_point` once per batch size.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..data import generate_independent
 from ..engine import MatchingService
 from ..errors import MatchingError, NetworkError
 from ..prefs import generate_preferences
-from .runner import bench_scale
-
-#: Unscaled catalog size (the serving regime: big catalog, small
-#: per-request workloads).
-NET_NUM_OBJECTS = 20_000
 
 #: Functions per request.
 NET_FUNCTIONS_PER_REQUEST = 16
@@ -72,17 +67,6 @@ class NetPoint:
         """Networked / in-process requests-per-second."""
         return self.net_rps / max(1e-9, self.inproc_rps)
 
-    def as_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "n_objects": self.n_objects,
-            "n_functions": self.n_functions,
-            "n_requests": self.n_requests,
-            "inproc_rps": self.inproc_rps,
-            "net_rps": self.net_rps,
-            "ratio": self.ratio,
-        }
-
 
 @dataclass
 class RemoteSmoke:
@@ -94,38 +78,6 @@ class RemoteSmoke:
     serial_seconds: float
     remote_seconds: float
     verified: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "n_objects": self.n_objects,
-            "n_functions": self.n_functions,
-            "serial_seconds": self.serial_seconds,
-            "remote_seconds": self.remote_seconds,
-            "verified": self.verified,
-        }
-
-
-@dataclass
-class NetSweep:
-    """The full network benchmark plus workload provenance."""
-
-    dims: int
-    seed: int
-    points: List[NetPoint] = field(default_factory=list)
-    remote: Optional[RemoteSmoke] = None
-
-    name = "net"
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": "net-1",
-            "name": self.name,
-            "dims": self.dims,
-            "seed": self.seed,
-            "points": [point.as_dict() for point in self.points],
-            "remote": None if self.remote is None else self.remote.as_dict(),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +141,9 @@ def _stop(process: subprocess.Popen) -> None:
 # ----------------------------------------------------------------------
 def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
                   num_requests: int = NET_NUM_REQUESTS,
-                  dims: int = 4, seed: int = 42) -> NetPoint:
+                  dims: int = 4, seed: int = 42,
+                  functions_per_request: int = NET_FUNCTIONS_PER_REQUEST,
+                  ) -> NetPoint:
     """Measure one cell: in-process vs networked ``submit_many``.
 
     The server subprocess regenerates the identical dataset from
@@ -204,7 +158,7 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
         raise MatchingError(f"batch_size must be >= 1, got {batch_size}")
     objects = generate_independent(n_objects, dims, seed=seed)
     workloads = [
-        generate_preferences(NET_FUNCTIONS_PER_REQUEST, dims,
+        generate_preferences(functions_per_request, dims,
                              seed=seed + 1 + request)
         for request in range(num_requests)
     ]
@@ -247,7 +201,7 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
     return NetPoint(
         batch_size=batch_size,
         n_objects=n_objects,
-        n_functions=NET_FUNCTIONS_PER_REQUEST,
+        n_functions=functions_per_request,
         n_requests=len(workloads),
         inproc_rps=len(workloads) / max(1e-9, inproc_seconds),
         net_rps=len(workloads) / max(1e-9, net_seconds),
@@ -296,56 +250,3 @@ def run_remote_smoke(n_objects: int, shards: int = 3, dims: int = 4,
         remote_seconds=remote_seconds,
         verified=True,
     )
-
-
-def net_sweep(scale: Optional[float] = None, seed: int = 42,
-              batch_sizes: Sequence[int] = (NET_BATCH_SIZE,),
-              dims: int = 4,
-              num_requests: Optional[int] = None) -> NetSweep:
-    """The full network benchmark: protocol points + remote smoke."""
-    scale = bench_scale() if scale is None else scale
-    n_objects = max(800, int(NET_NUM_OBJECTS * scale))
-    if num_requests is None:
-        num_requests = max(2 * max(batch_sizes), NET_NUM_REQUESTS)
-    sweep = NetSweep(dims=dims, seed=seed)
-    for batch_size in batch_sizes:
-        sweep.points.append(
-            run_net_point(n_objects, batch_size=batch_size,
-                          num_requests=num_requests, dims=dims, seed=seed)
-        )
-    sweep.remote = run_remote_smoke(n_objects, dims=dims, seed=seed)
-    return sweep
-
-
-def format_net_table(sweep: NetSweep) -> str:
-    """Render the sweep as a GitHub-flavored Markdown table."""
-    head = sweep.points[0] if sweep.points else None
-    lines = [
-        f"Network serving: loopback subprocess vs in-process "
-        f"(D={sweep.dims}, |O|={head.n_objects if head else 0}, "
-        f"|F|={head.n_functions if head else 0} per request, "
-        f"{head.n_requests if head else 0} distinct requests)",
-        "| batch | in-process req/s | networked req/s | ratio |",
-        "|---|---|---|---|",
-    ]
-    for point in sweep.points:
-        lines.append(
-            f"| {point.batch_size} "
-            f"| {point.inproc_rps:.1f} "
-            f"| {point.net_rps:.1f} "
-            f"| {point.ratio:.2f}x |"
-        )
-    if sweep.remote is not None:
-        smoke = sweep.remote
-        lines.append(
-            f"remote workers: {smoke.shards} shards over one worker "
-            f"subprocess in {smoke.remote_seconds * 1e3:.1f} ms "
-            f"(serial: {smoke.serial_seconds * 1e3:.1f} ms), "
-            f"pair-identical: {smoke.verified}"
-        )
-    return "\n".join(lines)
-
-
-def save_net_json(sweep: NetSweep, path) -> None:
-    """Write the sweep to ``path`` as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(sweep.as_dict(), indent=2) + "\n")

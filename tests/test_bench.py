@@ -1,109 +1,126 @@
-"""Benchmark harness: measurement protocol, sweeps, reports, CLI."""
+"""The paper's figure panels as matrix cells: protocol, sizes, CLI alias.
+
+``python -m repro.bench`` is the matrix CLI; a figure panel is a
+``match`` grid whose cells each run one matcher on a cold buffer.
+"""
+
+import io
+import json
 
 import pytest
 
-from repro.bench import (
-    ALGORITHMS,
-    bench_scale,
-    figure2_sweep,
-    figure3_sweep,
-    format_figure,
-    format_sweep_table,
-    measure_matcher,
-    orders_of_magnitude,
-    run_point,
-)
-from repro.core import MatchingProblem, SkylineMatcher
-from repro.data import generate_independent
-from repro.errors import ReproError
-from repro.prefs import generate_preferences
+from repro.bench.__main__ import main
+from repro.bench.matrix import config_from_dict, run_matrix
+from repro.bench.matrix.config import BENCH_CONFIGS, bench_scale
+from repro.errors import MatrixConfigError
 
 
-def tiny_workload():
-    objects = generate_independent(250, 3, seed=180)
-    functions = generate_preferences(12, 3, seed=181)
-    return objects, functions
+def panel(generator="independent", algorithms=("SB", "BruteForce", "Chain"),
+          backends=("disk",), **axes):
+    """A one-grid figure-panel config over a tiny workload."""
+    dims = 5 if generator == "zillow" else 3
+    return {
+        "name": "panel",
+        "grids": [{
+            "name": "panel",
+            "kind": "match",
+            "workload": {"generator": generator, "num_objects": 250,
+                         "num_functions": 12, "dims": dims, "seed": 180,
+                         "min_objects": 200, "min_functions": 12},
+            "axes": {"algorithm": list(algorithms),
+                     "backend": list(backends), **axes},
+        }],
+    }
 
 
-def test_measure_matcher_protocol():
-    objects, functions = tiny_workload()
-    problem = MatchingProblem.build(objects, functions)
-    measurement = measure_matcher(SkylineMatcher(problem))
-    assert measurement.algorithm == "skyline"
-    assert measurement.pairs == 12
-    assert measurement.cpu_seconds > 0
-    assert measurement.io_accesses == measurement.page_reads + measurement.page_writes
-    assert measurement.rounds >= 1
-    as_dict = measurement.as_dict()
-    assert as_dict["pairs"] == 12
+@pytest.fixture(scope="module")
+def tiny_panel():
+    return run_matrix(config_from_dict(panel(backends=("disk", "memory"))),
+                      scale=1.0)
+
+
+def cell_metrics(result, **axes):
+    (cell,) = [cell for cell in result.cells
+               if all(cell.spec.axes[k] == v for k, v in axes.items())]
+    return cell.metrics
+
+
+def test_measure_matcher_protocol(tiny_panel):
+    metrics = cell_metrics(tiny_panel, algorithm="SB", backend="disk")
+    assert metrics["pairs"] == 12
+    assert metrics["cpu_seconds"] > 0
+    assert metrics["io_accesses"] == (metrics["page_reads"]
+                                      + metrics["page_writes"])
+    assert metrics["rounds"] >= 1
 
 
 def test_run_point_runs_each_algorithm_fresh():
-    objects, functions = tiny_workload()
-    results = run_point(objects, functions,
-                        algorithms=("SB", "BruteForce", "Chain"))
-    assert set(results) == {"SB", "BruteForce", "Chain"}
-    pair_counts = {m.pairs for m in results.values()}
-    assert pair_counts == {12}
+    # Brute Force and Chain delete matched objects from the tree they
+    # search: every repeat must stage a fresh problem.
+    config = panel()
+    config["grids"][0]["workload"]["repeats"] = 2
+    result = run_matrix(config_from_dict(config), scale=1.0)
+    assert {cell.spec.axes["algorithm"] for cell in result.cells} == {
+        "SB", "BruteForce", "Chain"}
+    assert result.identity_ok
+    assert {cell.metrics["pairs"] for cell in result.cells} == {12}
 
 
 def test_run_point_unknown_algorithm():
-    objects, functions = tiny_workload()
-    with pytest.raises(ReproError):
-        run_point(objects, functions, algorithms=("SB", "Oracle"))
+    with pytest.raises(MatrixConfigError, match="BruteForce.*Oracle"):
+        config_from_dict(panel(algorithms=("SB", "Oracle")))
+
+
+def test_run_point_memory_backend_agrees_with_disk(tiny_panel):
+    assert tiny_panel.identity_ok
+    disk = cell_metrics(tiny_panel, algorithm="SB", backend="disk")
+    memory = cell_metrics(tiny_panel, algorithm="SB", backend="memory")
+    assert memory["pairs"] == disk["pairs"]
+    assert disk["io_accesses"] > 0
+    assert memory["io_accesses"] == 0
 
 
 def test_ablation_algorithms_registered():
     assert {"SB-single", "SB-retraversal", "SB-naive-threshold",
-            "Chain-stack", "BruteForce-filter"} <= set(ALGORITHMS)
+            "Chain-stack", "BruteForce-filter"} <= set(BENCH_CONFIGS)
 
 
 def test_figure2_sweep_small():
-    sweep = figure2_sweep(
-        "independent", scale=0.002, dims=(2, 3), algorithms=("SB",),
-        seed=7,
-    )
-    assert [p.x for p in sweep.points] == [2, 3]
-    assert sweep.series("SB", "io_accesses")
-    assert all(m >= 0 for m in sweep.series("SB", "io_accesses"))
-    assert sweep.points[0].params["num_objects"] == 200  # floor applies
+    result = run_matrix(config_from_dict(panel(algorithms=("SB",),
+                                               dims=[2, 3])),
+                        scale=0.002)
+    assert [cell.spec.axes["dims"] for cell in result.cells] == [2, 3]
+    assert all(cell.metrics["io_accesses"] > 0 for cell in result.cells)
+    # 250 * 0.002 objects is below the grid's floor.
+    assert {cell.metrics["n_objects"] for cell in result.cells} == {200}
 
 
 def test_figure2_rejects_unknown_variant():
-    with pytest.raises(ReproError):
-        figure2_sweep("gaussian", scale=0.002)
+    with pytest.raises(MatrixConfigError, match="generator"):
+        config_from_dict(panel(generator="gaussian"))
 
 
 def test_figure3_sweep_small():
-    sweep = figure3_sweep(
-        scale=0.002, sizes=(10_000, 50_000), algorithms=("SB",), seed=7
+    result = run_matrix(
+        config_from_dict(panel(generator="zillow", algorithms=("SB",),
+                               objects=[10_000, 400_000])),
+        scale=0.002,
     )
-    assert len(sweep.points) == 2
-    assert sweep.points[0].params["dims"] == 5
-    # Larger |O| never has fewer objects than smaller |O|.
-    sizes = [p.params["num_objects"] for p in sweep.points]
-    assert sizes[0] <= sizes[1]
+    sizes = [cell.metrics["n_objects"] for cell in result.cells]
+    assert sizes == [200, 800]  # floored, then 400 000 * 0.002
+    assert result.identity_ok
 
 
-def test_format_sweep_table_contains_everything():
-    sweep = figure2_sweep(
-        "independent", scale=0.002, dims=(2,), algorithms=("SB", "Chain"),
-        seed=7,
-    )
-    text = format_sweep_table(sweep, "io_accesses", title="Fig test")
-    assert "Fig test" in text
-    assert "SB" in text and "Chain" in text
-    assert "D=2" in text
-    assert "best/SB" in text  # the advantage-ratio column
-    multi = format_figure(sweep, metrics=("io_accesses", "cpu_seconds"),
-                          title="panel")
-    assert "panel" in multi and "CPU" in multi
-
-
-def test_orders_of_magnitude():
-    assert orders_of_magnitude(1000, 1) == pytest.approx(3.0)
-    assert orders_of_magnitude(1, 1000) == pytest.approx(-3.0)
-    assert orders_of_magnitude(5, 0) == float("inf")
+def test_format_sweep_table_contains_everything(tiny_panel):
+    text = tiny_panel.to_markdown()
+    assert "## panel (match)" in text
+    for name in ("SB", "BruteForce", "Chain", "io_accesses",
+                 "cpu_seconds"):
+        assert name in text
+    rows = [line for line in text.splitlines()
+            if line.startswith("| SB ") or line.startswith("| Chain ")
+            or line.startswith("| BruteForce ")]
+    assert len(rows) == len(tiny_panel.cells)
 
 
 def test_bench_scale_env(monkeypatch):
@@ -111,62 +128,33 @@ def test_bench_scale_env(monkeypatch):
     assert bench_scale(default=0.07) == 0.07
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
     assert bench_scale() == 0.5
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "-1")
-    with pytest.raises(ReproError):
-        bench_scale()
 
 
-def test_cli_single_panel(capsys):
-    from repro.bench.cli import main
-
-    code = main(["--figure", "2a", "--scale", "0.002", "--seed", "3"])
+def test_cli_single_panel(tmp_path):
+    config_file = tmp_path / "panel.json"
+    config_file.write_text(json.dumps(panel()))
+    out = io.StringIO()
+    code = main(["run", "--config-file", str(config_file),
+                 "--out", str(tmp_path / "out"), "--quiet"], out=out)
     assert code == 0
-    out = capsys.readouterr().out
-    assert "Fig 2(a)" in out
-    assert "BruteForce" in out
+    text = out.getvalue()
+    assert "3/3 pair-identical" in text
+    assert "verdict: OK" in text
 
 
-def test_cli_rejects_unknown_figure():
-    from repro.bench.cli import main
-
-    with pytest.raises(SystemExit):
-        main(["--figure", "9z"])
-
-
-def test_cli_algorithms_filter(capsys):
-    from repro.bench.cli import main
-
-    code = main(["--figure", "2a", "--scale", "0.002", "--seed", "3",
-                 "--algorithms", "SB"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "SB" in out
-    assert "BruteForce" not in out
-    assert "Chain" not in out
+def test_cli_rejects_unknown_figure(capsys):
+    # The legacy --figure flag is gone, not translated.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--figure", "2a"])
+    assert exit_info.value.code == 2
+    assert "usage: python -m repro.bench " in capsys.readouterr().err
 
 
-def test_cli_rejects_unknown_algorithm():
-    from repro.bench.cli import main
-
-    with pytest.raises(SystemExit, match="unknown algorithm"):
-        main(["--figure", "2a", "--scale", "0.002",
-              "--algorithms", "SB,Oracle"])
-
-
-def test_cli_memory_backend(capsys):
-    from repro.bench.cli import main
-
-    code = main(["--figure", "2a", "--scale", "0.002", "--seed", "3",
-                 "--algorithms", "SB", "--backend", "memory"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "# storage backend: memory" in out
-
-
-def test_run_point_memory_backend_agrees_with_disk():
-    objects, functions = tiny_workload()
-    disk = run_point(objects, functions, algorithms=("SB",))
-    memory = run_point(objects, functions, algorithms=("SB",),
-                       backend="memory")
-    assert memory["SB"].pairs == disk["SB"].pairs
-    assert memory["SB"].io_accesses == 0
+def test_cli_rejects_unknown_algorithm(tmp_path, capsys):
+    config_file = tmp_path / "panel.json"
+    config_file.write_text(json.dumps(panel(algorithms=("SB", "Oracle"))))
+    code = main(["run", "--config-file", str(config_file),
+                 "--out", str(tmp_path / "out"), "--quiet"],
+                out=io.StringIO())
+    assert code == 2
+    assert "Oracle" in capsys.readouterr().err

@@ -14,9 +14,14 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench.matrix import (
     available_configs,
     build_trajectory,
@@ -119,6 +124,9 @@ def _grid(**overrides):
     ("duplicate cells", [_grid(axes={"algorithm": ["SB", "SB"],
                                      "backend": ["memory"]})]),
     ("duplicate grid names", [_grid(), _grid()]),
+    ("net grid off the independent generator",
+     [_grid(kind="net", axes={"batch": [1]},
+            workload={"generator": "anticorrelated"})]),
 ])
 def test_config_rejects_malformed_grids(breakage, grids):
     with pytest.raises(MatrixConfigError):
@@ -158,7 +166,7 @@ def test_every_shipped_config_loads_and_expands():
     names = available_configs()
     for expected in ("smoke", "figure2", "figure3", "ablations", "dynamic",
                      "serving", "throughput", "parallel", "parallel-speedup",
-                     "replay"):
+                     "replay", "net"):
         assert expected in names
     for name in names:
         config = load_named_config(name)
@@ -179,6 +187,26 @@ def test_tiny_matrix_is_pair_identical_and_gated(tiny_result):
     for cell in tiny_result.cells:
         assert cell.metrics["identity_ok"] == 1.0
         assert cell.metrics["pairs"] == 25.0
+
+
+def test_net_cell_is_identical_and_reports_rates():
+    config = config_from_dict({
+        "name": "net-tiny",
+        "grids": [{
+            "name": "loopback",
+            "kind": "net",
+            "workload": {"num_objects": 200, "functions_per_request": 4,
+                         "num_requests": 2},
+            "axes": {"batch": [2]},
+        }],
+    })
+    result = run_matrix(config)
+    (cell,) = result.cells
+    assert cell.identity_ok
+    assert cell.metrics["n_requests"] == 2
+    assert cell.metrics["n_functions"] == 4
+    for metric in ("inproc_rps", "net_rps", "ratio"):
+        assert cell.metrics[metric] > 0
 
 
 def test_matrix_payload_schema_validates(tiny_result):
@@ -326,6 +354,42 @@ def test_cli_config_error_exits_2(tmp_path):
         "--out", str(tmp_path / "artifacts"), "--quiet",
     ], out=io.StringIO())
     assert status == 2
+
+
+@pytest.mark.parametrize("source, value", [
+    ("--scale", "0"),
+    ("--scale", "-1"),
+    ("--scale", "nan"),
+    ("--scale", "inf"),
+    ("REPRO_BENCH_SCALE", "abc"),
+])
+def test_cli_rejects_bad_scale(tmp_path, monkeypatch, capsys, source,
+                               value):
+    config_file = _write_config(tmp_path, TINY)
+    argv = ["run", "--config-file", str(config_file),
+            "--out", str(tmp_path / "artifacts"), "--quiet"]
+    monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+    if source == "--scale":
+        argv += ["--scale", value]
+    else:
+        monkeypatch.setenv(source, value)
+    assert main(argv, out=io.StringIO()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "scale" in err.lower()
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_bench_alias_lists_the_matrix_configs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    listings = [
+        subprocess.run([sys.executable, "-m", module, "list"], env=env,
+                       capture_output=True, text=True, check=True,
+                       timeout=60).stdout
+        for module in ("repro.bench", "repro.bench.matrix")
+    ]
+    assert listings[0] == listings[1]
+    assert "net " in listings[0]
 
 
 def test_cli_list_names_shipped_configs():

@@ -1,65 +1,79 @@
-"""Measurement instruments details."""
+"""The match cell's measurement: per-algorithm counters, cold buffer."""
 
-from repro.bench import measure_matcher
-from repro.core import BruteForceMatcher, ChainMatcher, MatchingProblem, SkylineMatcher
-from repro.data import generate_independent
-from repro.prefs import generate_preferences
+import pytest
 
-
-def make_problem(seed=350):
-    objects = generate_independent(400, 3, seed=seed)
-    functions = generate_preferences(15, 3, seed=seed + 1)
-    return MatchingProblem.build(objects, functions)
+from repro.bench.matrix import config_from_dict, run_matrix
+from repro.engine import MatchingEngine
+from repro.skyline import compute_skyline
 
 
-def test_brute_force_measurement_records_top1_searches():
-    measurement = measure_matcher(BruteForceMatcher(make_problem()))
-    assert measurement.algorithm == "brute-force"
-    assert measurement.top1_searches >= 15
-    assert measurement.reverse_top1_queries == 0
+def match_grid(algorithms, backends=("disk",), **workload):
+    return config_from_dict({
+        "name": "instruments",
+        "grids": [{
+            "name": "static",
+            "kind": "match",
+            "workload": {"num_objects": 400, "num_functions": 15,
+                         "dims": 3, "seed": 350, "min_functions": 15,
+                         **workload},
+            "axes": {"algorithm": list(algorithms),
+                     "backend": list(backends)},
+        }],
+    })
 
 
-def test_chain_measurement_records_top1_searches():
-    measurement = measure_matcher(ChainMatcher(make_problem()))
-    assert measurement.algorithm == "chain"
-    assert measurement.top1_searches > 0
+@pytest.fixture(scope="module")
+def cells():
+    result = run_matrix(match_grid(("SB", "BruteForce", "Chain")))
+    assert result.identity_ok
+    return {cell.spec.axes["algorithm"]: cell.metrics
+            for cell in result.cells}
 
 
-def test_sb_measurement_records_reverse_queries_and_rounds():
-    measurement = measure_matcher(SkylineMatcher(make_problem()))
-    assert measurement.algorithm == "skyline"
-    assert measurement.reverse_top1_queries > 0
-    assert 1 <= measurement.rounds <= measurement.pairs
+def test_brute_force_measurement_records_top1_searches(cells):
+    assert cells["BruteForce"]["top1_searches"] >= 15
+    assert cells["BruteForce"]["reverse_top1_queries"] == 0
 
 
-def test_measurement_starts_cold():
-    problem = make_problem()
-    # Warm the buffer with a full skyline pass...
-    from repro.skyline import compute_skyline
-
-    compute_skyline(problem.tree)
-    warm_reads = problem.io_stats.page_reads
-    assert warm_reads > 0
-    # ...measure_matcher must reset before measuring: the measured run
-    # re-reads the tree from a cold buffer instead of reusing frames.
-    measurement = measure_matcher(SkylineMatcher(problem))
-    assert measurement.page_reads >= warm_reads
+def test_chain_measurement_records_top1_searches(cells):
+    assert cells["Chain"]["top1_searches"] > 0
 
 
-def test_as_dict_merges_extra():
-    measurement = measure_matcher(SkylineMatcher(make_problem()))
-    measurement.extra["custom"] = 1.5
-    payload = measurement.as_dict()
-    assert payload["custom"] == 1.5
-    assert payload["io_accesses"] == measurement.io_accesses
+def test_sb_measurement_records_reverse_queries_and_rounds(cells):
+    sb = cells["SB"]
+    assert sb["reverse_top1_queries"] > 0
+    assert 1 <= sb["rounds"] <= sb["pairs"]
+
+
+def test_measurement_starts_cold(cells, monkeypatch):
+    # Warm each staged problem's buffer and counters with a full
+    # skyline pass: the cell must reset both before the timed run, so
+    # its counters still equal those of an unwarmed run.
+    build_problem = MatchingEngine.build_problem
+
+    def warmed(self, *args, **kwargs):
+        problem = build_problem(self, *args, **kwargs)
+        compute_skyline(problem.tree)
+        assert problem.io_stats.page_reads > 0
+        return problem
+
+    monkeypatch.setattr(MatchingEngine, "build_problem", warmed)
+    (cell,) = run_matrix(match_grid(("SB",))).cells
+    for metric in ("page_reads", "io_accesses", "buffer_hits"):
+        assert cell.metrics[metric] == cells["SB"][metric], metric
 
 
 def test_figure3_small_universe_reuses_whole_dataset():
-    from repro.bench import figure3_sweep
-
-    sweep = figure3_sweep(scale=0.0005, sizes=(10_000, 400_000),
-                          algorithms=("SB",), seed=3)
+    config = config_from_dict({
+        "name": "figure3-tiny",
+        "grids": [{
+            "name": "zillow",
+            "kind": "match",
+            "workload": {"generator": "zillow", "dims": 5, "seed": 3},
+            "axes": {"backend": ["disk"], "objects": [10_000, 400_000]},
+        }],
+    })
+    result = run_matrix(config, scale=0.0005)
     # At this scale every size clamps to the 200-object floor.
-    sizes = [point.params["num_objects"] for point in sweep.points]
-    assert all(s >= 200 for s in sizes)
-    assert len(sweep.points) == 2
+    assert [cell.metrics["n_objects"] for cell in result.cells] == [200, 200]
+    assert result.identity_ok

@@ -1,16 +1,8 @@
-"""SB round tracing and sweep persistence (JSON / Markdown)."""
+"""SB round tracing."""
 
 import pytest
 
-from repro.bench import (
-    figure2_sweep,
-    load_sweep_json,
-    save_sweep_json,
-    sweep_to_dict,
-    sweep_to_markdown,
-)
 from repro.core import MatchingProblem, RoundTrace, SkylineMatcher, TraceRecorder
-from repro.errors import MatchingError
 from repro.data import generate_independent
 from repro.prefs import generate_preferences
 
@@ -69,68 +61,3 @@ def test_round_trace_is_frozen():
     with pytest.raises(AttributeError):
         trace.round = 3
     assert trace.pairs_emitted == 1
-
-
-# ----------------------------------------------------------------------
-# Sweep persistence
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def small_sweep():
-    return figure2_sweep(
-        "independent", scale=0.002, dims=(2, 3),
-        algorithms=("SB", "Chain"), seed=5,
-    )
-
-
-def test_json_roundtrip(tmp_path, small_sweep):
-    path = tmp_path / "sweep.json"
-    save_sweep_json(small_sweep, path)
-    loaded = load_sweep_json(path)
-    assert loaded.name == small_sweep.name
-    assert loaded.xs() == small_sweep.xs()
-    assert loaded.series("SB", "io_accesses") == small_sweep.series(
-        "SB", "io_accesses"
-    )
-    assert loaded.series("Chain", "cpu_seconds") == small_sweep.series(
-        "Chain", "cpu_seconds"
-    )
-
-
-def test_json_schema_validation(tmp_path, small_sweep):
-    path = tmp_path / "sweep.json"
-    save_sweep_json(small_sweep, path)
-    import json
-
-    payload = json.loads(path.read_text())
-    payload["schema"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(MatchingError):
-        load_sweep_json(path)
-
-
-def test_sweep_to_dict_structure(small_sweep):
-    payload = sweep_to_dict(small_sweep)
-    assert payload["algorithms"] == ["SB", "Chain"]
-    assert len(payload["points"]) == 2
-    assert "io_accesses" in payload["points"][0]["results"]["SB"]
-
-
-def test_markdown_rendering(small_sweep):
-    text = sweep_to_markdown(small_sweep, "io_accesses")
-    lines = text.splitlines()
-    assert lines[0].startswith("| D |")
-    assert len(lines) == 2 + len(small_sweep.points)
-    assert "| D=2 |" in text
-
-
-def test_cli_json_output(tmp_path, capsys):
-    from repro.bench.cli import main
-
-    code = main([
-        "--figure", "2a", "--scale", "0.002", "--json", str(tmp_path),
-    ])
-    assert code == 0
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    loaded = load_sweep_json(files[0])
-    assert loaded.name == "figure2-independent"
