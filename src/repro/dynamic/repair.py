@@ -193,11 +193,12 @@ class RepairEngine:
     def tree(self):
         """The problem's object R-tree, resolved lazily.
 
-        Lazy on purpose: the cross-shard merge path (seed + release
-        chains) never touches the tree, which lets the sharded layer
-        hand the engine a deferred problem whose parent tree is never
-        bulk-loaded at all. Sessions (compaction, skyline rebuilds,
-        full rematches) resolve it on first use as before.
+        Lazy on purpose: the cross-shard repair (seed + release chains)
+        never touches the tree, which lets the sharded layer hand the
+        engine a tree-less view of the shard winners alone (see
+        :func:`~repro.parallel.merge.cross_shard_repair`). Sessions
+        (compaction, skyline rebuilds, full rematches) resolve it on
+        first use.
         """
         return self.problem.tree
 

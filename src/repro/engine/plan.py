@@ -111,11 +111,11 @@ class _DeferredProblem:
 
     The sharded execution path reads only ``problem.objects`` and
     ``problem.functions``: shard workers bulk-load their own sub-trees,
-    and the cross-shard merge/repair operates purely on the matching
-    maps (see :class:`~repro.dynamic.repair.RepairEngine` — its ``tree``
-    is resolved lazily). Staging the parent workload as a deferred
-    problem therefore skips the full-dataset bulk load entirely; the
-    tree materializes transparently only if some path truly needs it.
+    and the cross-shard repair runs on a tree-less view of the shard
+    winners (see :func:`~repro.parallel.merge.cross_shard_repair`).
+    Staging the parent workload as a deferred problem therefore skips
+    the full-dataset bulk load entirely; the tree materializes
+    transparently only if some path truly needs it.
     """
 
     def __init__(self, state: _DeferredState,
@@ -377,18 +377,16 @@ class PreparedMatching:
         self._expanded = expanded
         backend = self.plan.backend
         self._sharded = self.plan.is_sharded and len(expanded) > 1
+        self._parts: Optional[list] = None
         if self._sharded:
-            from ..parallel import hilbert_ranges
+            from ..parallel.partition import hilbert_shards
 
             self._problem = _DeferredProblem(
                 _DeferredState(backend, expanded, config)
             )
-            self._parts = hilbert_ranges(
-                list(expanded.items()), self.plan.shards
-            )
+            self._parts = hilbert_shards(expanded, self.plan.shards)
         else:
             self._problem = backend.build_problem(expanded, [], config)
-            self._parts = None
         self._drop_worker_stagings()
         self._token = next(_STAGING_TOKENS)
         self.stagings += 1

@@ -4,12 +4,14 @@ Four strategies behind one function, selected by
 ``MatchingConfig.executor``:
 
 ``"process"``
-    A :class:`concurrent.futures.ProcessPoolExecutor` — the true
-    multi-core path (each worker matches its shard in its own
-    interpreter, so the GIL never serializes the skyline work). Falls
-    back to serial execution when the platform cannot spawn workers
-    (sandboxes without fork, missing POSIX semaphores), so a sharded
-    run degrades gracefully instead of crashing.
+    One single-process :class:`concurrent.futures.ProcessPoolExecutor`
+    per worker slot — the true multi-core path (each worker matches its
+    shard in its own interpreter, so the GIL never serializes the
+    skyline work), with placement chosen here rather than by a shared
+    queue (see :class:`ShardWorkerPool`). Falls back to serial
+    execution when the platform cannot spawn workers (sandboxes without
+    fork, missing POSIX semaphores), so a sharded run degrades
+    gracefully instead of crashing.
 ``"thread"``
     A :class:`concurrent.futures.ThreadPoolExecutor`. Mostly useful for
     exercising the task plumbing without process startup cost; the GIL
@@ -58,7 +60,18 @@ class ShardWorkerPool:
     underlying executor is created on first use and reused for every
     subsequent run until :meth:`close`.
 
-    ``spawn_count`` records how many times an underlying pool was
+    **Placement.** The process executor runs one single-process
+    executor per worker slot, ``W`` slots (``max_workers``, default the
+    first batch's task count), and sends task ``i`` of the pool's
+    ``r``-th run (counting from 0) to slot ``(i + r) mod W``. A run's
+    tasks never share a slot while ``W >= tasks``, and after ``W`` runs
+    every worker has staged every shard. (A shared task queue would let
+    whichever worker finishes first take several shards of one run
+    while another sits idle.) The placement is static: with
+    ``W < tasks``, tasks ``i`` and ``i + W`` queue on one slot even if
+    another slot is idle.
+
+    ``spawn_count`` records how many times the underlying workers were
     actually constructed — the serving tests assert it stays at 1 across
     repeated runs. The process executor degrades to serial execution
     (permanently, with a warning) on platforms that cannot spawn
@@ -80,7 +93,9 @@ class ShardWorkerPool:
         self.max_workers = max_workers
         self.remote_workers = remote_workers
         self._remote: Optional[object] = None
-        self._pool: Optional["Executor"] = None
+        #: The worker slots: one shared thread pool, or one
+        #: single-process executor per process worker.
+        self._slots: List["Executor"] = []
         #: Underlying executor constructions (1 after the first parallel
         #: run; stays 1 for the pool's whole life).
         self.spawn_count = 0
@@ -88,8 +103,8 @@ class ShardWorkerPool:
         self.runs = 0
         self._closed = False
 
-    def _ensure_pool(self, num_tasks: int) -> "Executor":
-        if self._pool is None:
+    def _ensure_slots(self, num_tasks: int) -> List["Executor"]:
+        if not self._slots:
             workers = (
                 self.max_workers if self.max_workers is not None
                 else num_tasks
@@ -98,13 +113,26 @@ class ShardWorkerPool:
             if self.executor == "thread":
                 from concurrent.futures import ThreadPoolExecutor
 
-                self._pool = ThreadPoolExecutor(max_workers=workers)
+                self._slots = [ThreadPoolExecutor(max_workers=workers)]
             else:
                 from concurrent.futures import ProcessPoolExecutor
 
-                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self._slots = [
+                    ProcessPoolExecutor(max_workers=1)
+                    for _ in range(workers)
+                ]
             self.spawn_count += 1
-        return self._pool
+        return self._slots
+
+    def _fan_out(self, tasks: List[ShardTask],
+                 turn: int) -> List[ShardOutcome]:
+        """Task ``i`` to slot ``(i + turn) mod W``, outcomes in order."""
+        slots = self._ensure_slots(len(tasks))
+        futures = [
+            slots[(index + turn) % len(slots)].submit(run_shard_task, task)
+            for index, task in enumerate(tasks)
+        ]
+        return [future.result() for future in futures]
 
     def _ensure_remote(self):
         if self._remote is None:
@@ -122,6 +150,7 @@ class ShardWorkerPool:
         if self._closed:
             raise MatchingError("ShardWorkerPool is closed")
         tasks = list(tasks)
+        turn = self.runs
         self.runs += 1
         if not tasks:
             return []
@@ -136,15 +165,13 @@ class ShardWorkerPool:
                 or max(1, workers) == 1):
             return [run_shard_task(task) for task in tasks]
         if self.executor == "thread":
-            pool = self._ensure_pool(len(tasks))
-            return list(pool.map(run_shard_task, tasks))
+            return self._fan_out(tasks, turn)
         try:
             from concurrent.futures.process import BrokenProcessPool
         except ImportError:  # pragma: no cover - exotic platforms
             BrokenProcessPool = OSError
         try:
-            pool = self._ensure_pool(len(tasks))
-            return list(pool.map(run_shard_task, tasks))
+            return self._fan_out(tasks, turn)
         except (BrokenProcessPool, OSError, PermissionError,
                 ImportError) as error:
             # Platform-level pool failure only: a task-level error —
@@ -160,12 +187,12 @@ class ShardWorkerPool:
             return [run_shard_task(task) for task in tasks]
 
     def _abandon_pool(self, wait: bool = False) -> None:
-        if self._pool is not None:
+        slots, self._slots = self._slots, []
+        for slot in slots:
             try:
-                self._pool.shutdown(wait=wait)
+                slot.shutdown(wait=wait)
             except Exception:  # pragma: no cover - defensive
                 pass
-            self._pool = None
 
     def close(self) -> None:
         """Shut the underlying executor down (idempotent).
@@ -194,7 +221,7 @@ class ShardWorkerPool:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else (
-            "live" if self._pool is not None else "idle"
+            "live" if self._slots else "idle"
         )
         return (
             f"ShardWorkerPool(executor={self.executor!r}, {state}, "

@@ -28,7 +28,7 @@ from ..prefs import LinearPreference
 from ..storage.stats import SearchStats
 from .executors import run_shard_tasks
 from .merge import cross_shard_repair, merge_shard_pairs
-from .partition import hilbert_ranges
+from .partition import hilbert_shards
 from .shard import ShardOutcome, ShardTask
 
 #: Shard count used when the sharded algorithm is selected by name but
@@ -118,8 +118,9 @@ class ShardedMatcher(Matcher):
         #: carry ``(token, shard index)`` keys so workers reuse their
         #: bulk-loaded trees across runs of the same prepared matching.
         self.staging_token = staging_token
-        #: Precomputed Hilbert partition (a serving-path warm asset);
-        #: ``None`` partitions on the fly.
+        #: Precomputed :func:`~repro.parallel.partition.hilbert_shards`
+        #: arrays (a serving-path warm asset); ``None`` partitions on
+        #: the fly.
         self._parts = parts
         # Aggregated counters, populated when pairs() is consumed.
         self.rounds = 0
@@ -154,11 +155,10 @@ class ShardedMatcher(Matcher):
     def pairs(self) -> Iterator[MatchPair]:
         """Yield the canonical global stable pairs (computed eagerly)."""
         problem = self.problem
-        items = list(problem.objects.items())
         functions = tuple(problem.functions)
         worker_config = self._worker_config()
 
-        if len(items) <= 1 or not functions or self.shards <= 1:
+        if len(problem.objects) <= 1 or not functions or self.shards <= 1:
             # Degenerate fan-out: run the base algorithm directly on the
             # parent problem, byte-for-byte the single-process path.
             matcher = create_matcher(
@@ -176,19 +176,18 @@ class ShardedMatcher(Matcher):
 
         parts = (
             self._parts if self._parts is not None
-            else hilbert_ranges(items, self.shards)
+            else hilbert_shards(problem.objects, self.shards)
         )
         tasks = [
             ShardTask(
-                index=index, dims=problem.objects.dims,
-                items=tuple(part), functions=functions,
+                index=index, ids=ids, points=points, functions=functions,
                 config=worker_config,
                 staging_key=(
                     (self.staging_token, index)
                     if self.staging_token is not None else None
                 ),
             )
-            for index, part in enumerate(parts) if part
+            for index, (ids, points) in enumerate(parts) if len(ids)
         ]
         if self.pool is not None:
             outcomes = self.pool.run(tasks)

@@ -1,41 +1,25 @@
 """Cross-shard merge: shard-local matchings to the global matching.
 
-Why this is exact
------------------
-Preferences are *aligned* (both sides rank a pair by the same score), so
-the stable matching of any instance is unique — the greedy matching in
-decreasing ``(score, -fid, -oid)`` order. Two facts make the shard
-decomposition lossless:
+:func:`merge_shard_pairs` keeps each function's best shard-local
+partner; :func:`cross_shard_repair` re-introduces the shard winners
+that lost the merge, one displacement chain each, and so restores the
+canonical global matching — pair-for-pair identical to single-process
+``repro.match()``. Why that is exact, and why objects left unmatched in
+their own shard never need to be looked at, is argued in the parallel
+guide (``docs/guides/parallel.md``, "Why the merge is exact").
 
-1. **Merging best shard-local partners is a stable sub-matching.**
-   Every object lives in exactly one shard and is matched to at most one
-   function there, so candidate pairs never collide on objects and the
-   merge is simply: each function keeps its highest-scoring shard-local
-   partner. Suppose a pair ``(f, o)`` blocked the merged matching ``M``
-   restricted to its matched objects, with ``o`` matched to ``g``. Then
-   ``score(f, o) > score(g, o)``, so in ``o``'s shard the locally stable
-   matching must give ``f`` a partner it likes at least as much as
-   ``o`` — and ``M`` gives ``f`` its *best* shard-local partner, so
-   ``score(f, M(f)) >= score(f, o)``: contradiction.
-
-2. **Displaced shard winners repair like insertions.** Starting from a
-   stable matching and introducing one more object, the canonical
-   matching of the enlarged instance is restored by a single object
-   displacement chain — the dynamic subsystem's
-   :meth:`~repro.dynamic.repair.RepairEngine.release_object`. Objects
-   that were matched in their shard but lost the merge are introduced
-   one chain at a time; objects unmatched even in their own shard can
-   be skipped entirely (adding competitors never improves an object's
-   outcome, so an object unmatched against a subset of ``O`` stays
-   unmatched against all of ``O``).
-
-After the last chain the engine holds the canonical global matching —
-pair-for-pair identical to single-process ``repro.match()``.
+The repair runs a :class:`~repro.dynamic.repair.RepairEngine` seeded
+with the shard winners only — the objects in some shard's pairs, at
+most ``K * |F|`` of them — so its cost does not grow with ``|O|``: it
+reads neither the parent's full object set nor its tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from types import SimpleNamespace
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, cast,
+)
 
 from ..core.problem import MatchingProblem
 from ..dynamic.repair import RepairEngine
@@ -82,21 +66,27 @@ def merge_shard_pairs(shard_pairs: Iterable[Sequence[Triple]],
 def cross_shard_repair(problem: MatchingProblem, config: MatchingConfig,
                        merged: Sequence[Triple],
                        displaced: Sequence[int],
-                       search_stats: SearchStats = None,
+                       search_stats: Optional[SearchStats] = None,
                        ) -> RepairEngine:
     """Restore the canonical global matching from a merged sub-matching.
 
-    Seeds a :class:`~repro.dynamic.repair.RepairEngine` over the *full*
-    problem with the merged matching, then runs one displacement chain
+    Seeds a :class:`~repro.dynamic.repair.RepairEngine` over the
+    problem's functions and the shard winners (the merged and displaced
+    objects) with the merged matching, then runs one displacement chain
     per displaced shard winner. Returns the engine, whose
     :meth:`~repro.dynamic.repair.RepairEngine.pairs` is the canonical
     matching and whose ``stats`` count the repair work (chains, steps,
     steals).
     """
-    # The engine must never mutate the parent tree: tree-preserving
-    # filter mode, and neither compact() nor full_rematch() is invoked.
+    winners = sorted({object_id for _, object_id, _ in merged}
+                     | set(displaced))
+    # The view has no tree, so the repair can neither resolve nor
+    # mutate the parent's. Filter mode, and neither compact() nor
+    # full_rematch() is invoked.
+    view = SimpleNamespace(objects=problem.objects.subset(winners),
+                           functions=problem.functions)
     engine = RepairEngine(
-        problem, config.replace(deletion_mode="filter"),
+        cast(MatchingProblem, view), config.replace(deletion_mode="filter"),
         search_stats=search_stats,
     )
     engine.seed_matching(merged)

@@ -11,16 +11,36 @@ queries stay cheap.
 Cardinality balance (not spatial balance) is the partitioning objective:
 each shard matches *all* functions against its objects, so equal object
 counts equalize worker runtimes.
+
+:func:`hilbert_shards` is the serving path's partition: numpy work over
+the dataset's arrays, one ``(ids, points)`` array pair per shard.
+:func:`hilbert_ranges` is the same cut over ``(object_id, point)``
+tuples.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from ..data import Dataset
 from ..errors import MatchingError
-from ..rtree.hilbert import DEFAULT_ORDER, hilbert_key_for_point
+from ..rtree.hilbert import DEFAULT_ORDER, hilbert_sort
 
 Item = Tuple[int, Sequence[float]]
+
+#: One shard: ``(ids, points)`` with ids ascending (int64) and
+#: ``points[r]`` the float64 point of ``ids[r]``.
+ShardArrays = Tuple[np.ndarray, np.ndarray]
+
+
+def _cuts(ordering: np.ndarray, shards: int) -> List[np.ndarray]:
+    """``ordering`` cut into ``shards`` consecutive chunks, the first
+    ``len(ordering) % shards`` of them one longer than the rest."""
+    if shards < 1:
+        raise MatchingError(f"shards must be >= 1, got {shards}")
+    return np.array_split(ordering, shards)
 
 
 def hilbert_ranges(items: Sequence[Item], shards: int,
@@ -37,17 +57,27 @@ def hilbert_ranges(items: Sequence[Item], shards: int,
     >>> [[object_id for object_id, _ in part] for part in ranges]
     [[2, 3], [1]]
     """
-    if shards < 1:
-        raise MatchingError(f"shards must be >= 1, got {shards}")
-    ordered = sorted(
-        items,
-        key=lambda item: (hilbert_key_for_point(item[1], order), item[0]),
+    items = list(items)
+    ordering = (
+        hilbert_sort([point for _, point in items],
+                     [object_id for object_id, _ in items], order)
+        if items else np.empty(0, dtype=np.intp)
     )
-    base, extra = divmod(len(ordered), shards)
-    parts: List[List[Item]] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        parts.append(ordered[start:start + size])
-        start += size
+    return [[items[row] for row in chunk]
+            for chunk in _cuts(ordering, shards)]
+
+
+def hilbert_shards(objects: Dataset, shards: int) -> List[ShardArrays]:
+    """Partition a dataset into Hilbert-order ranges, as arrays.
+
+    The same cut as :func:`hilbert_ranges` over ``objects.items()``;
+    within a shard the rows are re-ordered by ascending object id, the
+    row order ``Dataset.from_mapping`` would give them.
+    """
+    ids = np.asarray(objects.ids, dtype=np.int64)
+    points = objects.matrix
+    parts: List[ShardArrays] = []
+    for chunk in _cuts(hilbert_sort(points, ids), shards):
+        rows = chunk[np.argsort(ids[chunk], kind="stable")]
+        parts.append((ids[rows], points[rows]))
     return parts

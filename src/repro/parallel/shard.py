@@ -1,9 +1,10 @@
 """The per-shard unit of work, picklable for process pools.
 
 A :class:`ShardTask` carries everything a worker needs to stage and
-match one shard — plain tuples, :class:`~repro.prefs.LinearPreference`
-objects, and a (frozen, capacity-free) :class:`~repro.engine.MatchingConfig` —
-so it crosses a process boundary with the default pickler.
+match one shard — the shard's ``(ids, points)`` numpy arrays,
+:class:`~repro.prefs.LinearPreference` objects, and a (frozen,
+capacity-free) :class:`~repro.engine.MatchingConfig` — so it crosses a
+process boundary with the default pickler, the arrays as raw buffers.
 :func:`run_shard_task` is the module-level worker entry point (process
 pools resolve it by qualified name).
 
@@ -21,17 +22,23 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..data import Dataset
 from ..engine.config import MatchingConfig
 from ..prefs import LinearPreference
 from ..storage.stats import IOSnapshot, SearchStats
 
-Point = Tuple[float, ...]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShardTask:  # lint: pickled
     """One shard's staging-and-matching assignment (picklable).
+
+    ``ids`` (int64, ascending) and ``points`` (float64, one row per id)
+    are the shard's objects as
+    :func:`~repro.parallel.partition.hilbert_shards` cuts them; a worker
+    turns them into a :class:`~repro.data.Dataset` only when it stages,
+    so a warm worker does no per-object work.
 
     ``staging_key`` (optional) is a ``(staging token, shard index)``
     pair identifying one staging epoch of one prepared matching. Workers
@@ -43,8 +50,8 @@ class ShardTask:  # lint: pickled
     """
 
     index: int
-    dims: int
-    items: Tuple[Tuple[int, Point], ...]
+    ids: np.ndarray
+    points: np.ndarray
     functions: Tuple[LinearPreference, ...]
     config: MatchingConfig
     staging_key: Optional[Tuple[int, int]] = None
@@ -63,7 +70,6 @@ class ShardOutcome:  # lint: pickled
     top1_searches: int = 0
     reverse_top1_queries: int = 0
     seconds: float = 0.0
-    num_objects: int = 0
     #: Whether this run bulk-loaded the shard tree (False: a warm,
     #: worker-cached staging was reused).
     staged: bool = True
@@ -77,10 +83,11 @@ class ShardOutcome:  # lint: pickled
 #: (serial/thread executors) do not thrash each other's warm trees.
 #: Memory: one token's shards partition one dataset, so a token costs
 #: about one staged copy of its dataset per process; the token LRU
-#: bounds the total at :data:`_MAX_STAGED_TOKENS` datasets. (Process
-#: pools have no task→worker affinity, so a worker warms a shard only
-#: once it has staged it — reuse there improves over successive runs
-#: rather than being total; serial/thread reuse is deterministic.)
+#: bounds the total at :data:`_MAX_STAGED_TOKENS` datasets. (A process
+#: pool rotates shards over its workers run by run — see
+#: :class:`~repro.parallel.ShardWorkerPool` — so with at least as many
+#: workers as shards every worker has staged every shard after one
+#: rotation; serial/thread reuse is total from the second run.)
 _STAGED_SHARDS: dict = {}
 
 #: Recently-used staging tokens, oldest first (values unused). Bounds
@@ -132,10 +139,8 @@ def _staged_problem(task: ShardTask):
                 _STAGED_SHARDS[task.staging_key] = cached
                 return cached, True
             return cached, False
-    dataset = Dataset.from_mapping(
-        {object_id: point for object_id, point in task.items},
-        task.dims, name=f"shard-{task.index}",
-    )
+    dataset = Dataset(task.points, ids=task.ids.tolist(),
+                      name=f"shard-{task.index}")
     problem = get_backend(task.config.backend).build_problem(
         dataset, list(task.functions), task.config
     )
@@ -154,8 +159,8 @@ def run_shard_task(task: ShardTask) -> ShardOutcome:
     # footprint honest under spawn-style pools.
     from ..engine.registry import create_matcher
 
-    outcome = ShardOutcome(index=task.index, num_objects=len(task.items))
-    if not task.items or not task.functions:
+    outcome = ShardOutcome(index=task.index)
+    if not len(task.ids) or not task.functions:
         return outcome
 
     start = time.perf_counter()

@@ -7,12 +7,18 @@ to produce slightly better point-query trees on skewed data, at the
 price of a costlier sort key. The packing ablation compares both.
 
 The Hilbert index is computed with the classic Butz/Lawder bit
-transposition for arbitrary dimensionality.
+transposition for arbitrary dimensionality. :func:`hilbert_index` and
+:func:`hilbert_key_for_point` are the scalar reference;
+:func:`hilbert_keys` runs the same transform over whole uint64 columns
+and :func:`hilbert_sort` orders rows by the resulting keys, which is
+what bulk loading and the shard partition use.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import RTreeError
 from .entry import Entry
@@ -84,6 +90,75 @@ def hilbert_key_for_point(point: Sequence[float],
     return hilbert_index(coords, order)
 
 
+def hilbert_keys(points, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Hilbert keys of the rows of an ``(n, dims)`` array, vectorized.
+
+    Row ``r`` equals ``hilbert_key_for_point(points[r], order)``: the
+    same clamp, discretization and Skilling transform, run over uint64
+    columns. A key has ``dims * order`` bits (more than one machine word
+    from 5-D at order 16), so each is returned as big-endian 64-bit
+    words: the result has shape ``(n, ceil(dims * order / 64))``, most
+    significant word first. ``order`` must lie in ``[1, 32]``.
+    """
+    matrix = np.asarray(points, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] == 0:
+        raise RTreeError(
+            f"hilbert_keys needs an (n, dims >= 1) array, got shape "
+            f"{matrix.shape}"
+        )
+    if not 1 <= order <= 32:
+        raise RTreeError(f"order must be in [1, 32], got {order}")
+    dims = matrix.shape[1]
+    scale = float((1 << order) - 1)
+    x = (np.clip(matrix, 0.0, 1.0) * scale).astype(np.uint64).T.copy()
+    zero = np.uint64(0)
+    # hilbert_index's loops, each x[i] now a column over all points.
+    # Inverse undo, top bit down.
+    q = 1 << (order - 1)
+    while q > 1:
+        p, bit = np.uint64(q - 1), np.uint64(q)
+        for i in range(dims):
+            high = (x[i] & bit) != zero
+            t = np.where(high, zero, (x[0] ^ x[i]) & p)
+            x[0] ^= np.where(high, p, t)
+            x[i] ^= t
+        q >>= 1
+    # Gray encode.
+    for i in range(1, dims):
+        x[i] ^= x[i - 1]
+    t = np.zeros(matrix.shape[0], dtype=np.uint64)
+    q = 1 << (order - 1)
+    while q > 1:
+        t ^= np.where((x[dims - 1] & np.uint64(q)) != zero,
+                      np.uint64(q - 1), zero)
+        q >>= 1
+    x ^= t
+    # Interleave: bit ``b`` of coordinate ``i`` lands ``k`` places below
+    # the key's top bit, with ``k = (order - 1 - b) * dims + i``.
+    total = order * dims
+    words = np.zeros((matrix.shape[0], -(-total // 64)), dtype=np.uint64)
+    for b in range(order):
+        for i in range(dims):
+            position = total - 1 - ((order - 1 - b) * dims + i)
+            word = words.shape[1] - 1 - position // 64
+            words[:, word] |= (
+                (x[i] >> np.uint64(b)) & np.uint64(1)
+            ) << np.uint64(position % 64)
+    return words
+
+
+def hilbert_sort(points, ids, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """The row permutation ordering ``points`` by ``(Hilbert key, id)``.
+
+    ``ids`` (one integer per row) breaks key ties, so the order is
+    total and equals sorting ``(hilbert_key_for_point(point), id)``
+    tuples.
+    """
+    words = hilbert_keys(points, order)
+    # lexsort's last key is its primary one: top word last, ids first.
+    return np.lexsort((np.asarray(ids, dtype=np.int64), *words[:, ::-1].T))
+
+
 def hilbert_bulk_load(store: NodeStore, dims: int,
                       objects: Iterable[Tuple[int, Sequence[float]]],
                       fill: float = 0.9,
@@ -95,17 +170,16 @@ def hilbert_bulk_load(store: NodeStore, dims: int,
     if not 0.1 <= fill <= 1.0:
         raise RTreeError(f"fill factor must be in [0.1, 1], got {fill}")
     tree = RTree(store, dims)
-    items = [
-        Entry.for_object(object_id, point) for object_id, point in objects
-    ]
-    if not items:
+    objects = list(objects)
+    if not objects:
         return tree
     store.free(tree.root_id)
 
-    items.sort(
-        key=lambda entry: (hilbert_key_for_point(entry.mbr.low, order),
-                           entry.child)
+    ordering = hilbert_sort(
+        [point for _, point in objects],
+        [object_id for object_id, _ in objects], order,
     )
+    items = [Entry.for_object(*objects[row]) for row in ordering]
     leaf_cap = max(2, int(store.leaf_capacity * fill))
     branch_cap = max(2, int(store.branch_capacity * fill))
 

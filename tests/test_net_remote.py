@@ -12,6 +12,7 @@ loudly, and malformed frames answer typed errors instead of hanging.
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -139,8 +140,8 @@ def test_worker_raised_errors_re_raise_with_their_type(worker_address):
     from repro.parallel.shard import ShardTask
 
     task = ShardTask(
-        index=0, dims=2,
-        items=((0, (0.25, 0.75)), (1, (0.5, 0.5))),
+        index=0, ids=np.array([0, 1]),
+        points=np.array([[0.25, 0.75], [0.5, 0.5]]),
         functions=(LinearPreference.normalized(0, [1.0, 1.0, 1.0]),),
         config=MatchingConfig(backend="memory"),
     )

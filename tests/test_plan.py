@@ -1,5 +1,6 @@
 """The serving pipeline: plan compilation, prepared state, worker pool."""
 
+import numpy as np
 import pytest
 
 import repro
@@ -259,15 +260,15 @@ def test_pool_propagates_task_errors_without_degrading():
 
     objects, functions = tiny_workload(n_objects=40, seed=108)
     config = MatchingConfig(backend="memory")
+    ids, points = np.asarray(objects.ids), objects.matrix
     bad = ShardTask(
-        index=0, dims=3,
-        items=tuple(objects.items()),
+        index=0, ids=ids, points=points,
         functions=(repro.prefs.LinearPreference.normalized(0, [1.0, 1.0]),),
         config=config,  # 2-dim function vs 3-dim objects
     )
     pool = ShardWorkerPool(executor="process", max_workers=2)
     good = ShardTask(
-        index=1, dims=3, items=tuple(objects.items()),
+        index=1, ids=ids, points=points,
         functions=tuple(functions), config=config,
     )
     try:
