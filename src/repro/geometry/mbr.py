@@ -180,8 +180,16 @@ class MBR:
         BBS pops entries in increasing order of this key; a point can only
         be dominated by points with a strictly smaller key, which is what
         makes BBS progressive and I/O-optimal.
+
+        The terms are added one by one from the left, the order BBS's
+        vectorized key (:func:`~repro.skyline.bbs.push_rows`) uses, so
+        both give the same bits; ``sum()`` would not on Python 3.12+,
+        where it compensates float rounding.
         """
-        return sum(1.0 - hi for hi in self.high)
+        key = 0.0
+        for hi in self.high:
+            key += 1.0 - hi
+        return key
 
     def dominated_by_point(self, point: Sequence[float]) -> bool:
         """Whether ``point`` weakly dominates the *entire* box.

@@ -10,6 +10,9 @@ would use:
 * leaf entry: object id (i64) + ``D`` float64 coordinates (points are
   stored once, not as two corners);
 * branch entry: child page id (i64) + ``2 D`` float64 corner coordinates.
+
+Reading a page is one :func:`numpy.frombuffer` over the same layout as a
+structured dtype, so a decoded node holds arrays, not per-entry objects.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 import struct
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..errors import SerializationError
-from ..geometry import MBR
-from .entry import Entry
 from .node import RTreeNode
 
 _MAGIC = 0x5A
@@ -28,6 +31,7 @@ _HEADER_SIZE = _HEADER.size  # 8 bytes
 
 _leaf_structs: Dict[int, struct.Struct] = {}
 _branch_structs: Dict[int, struct.Struct] = {}
+_page_dtypes: Dict[Tuple[bool, int], np.dtype] = {}
 
 
 def _leaf_struct(dims: int) -> struct.Struct:
@@ -44,6 +48,18 @@ def _branch_struct(dims: int) -> struct.Struct:
         fmt = struct.Struct("<q" + "d" * (2 * dims))
         _branch_structs[dims] = fmt
     return fmt
+
+
+def _page_dtype(leaf: bool, dims: int) -> np.dtype:
+    """The packed record of one entry, as a numpy structured dtype."""
+    dtype = _page_dtypes.get((leaf, dims))
+    if dtype is None:
+        corners = [("high", "<f8", (dims,))]
+        if not leaf:
+            corners.insert(0, ("low", "<f8", (dims,)))
+        dtype = np.dtype([("child", "<i8")] + corners)
+        _page_dtypes[(leaf, dims)] = dtype
+    return dtype
 
 
 def leaf_capacity(page_size: int, dims: int) -> int:
@@ -94,28 +110,27 @@ def serialize_node(node: RTreeNode, dims: int, page_size: int) -> bytes:
 
 
 def deserialize_node(node_id: int, data: bytes) -> Tuple[RTreeNode, int]:
-    """Unpack a node from page bytes; returns ``(node, dims)``."""
+    """Unpack a node from page bytes; returns ``(node, dims)``.
+
+    The node holds read-only array views of ``data`` (one
+    :func:`numpy.frombuffer` over the entry records); its ``entries``
+    list is only built if someone asks for it.
+    """
     if len(data) < _HEADER_SIZE:
         raise SerializationError(f"page {node_id} too short to hold a node")
     magic, _flags, level, count, dims = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise SerializationError(f"page {node_id} has bad magic {magic:#x}")
-    fmt = _leaf_struct(dims) if level == 0 else _branch_struct(dims)
-    end = _HEADER_SIZE + count * fmt.size
+    dtype = _page_dtype(level == 0, dims)
+    end = _HEADER_SIZE + count * dtype.itemsize
     if len(data) < end:
         raise SerializationError(
             f"page {node_id} holds {len(data)} bytes; its {count} entries "
             f"need {end}"
         )
-    # Page bytes only ever come from serialize_node over valid boxes, so
-    # the corners are rebuilt without MBR's per-coordinate checks.
-    box = MBR._unchecked
-    body = fmt.iter_unpack(memoryview(data)[_HEADER_SIZE:end])
-    if level == 0:
-        entries = [Entry(box(values[1:], values[1:]), values[0])
-                   for values in body]
-    else:
-        split = 1 + dims
-        entries = [Entry(box(values[1:split], values[split:]), values[0])
-                   for values in body]
-    return RTreeNode(node_id, level, entries), dims
+    records = np.frombuffer(bytes(data), dtype=dtype, count=count,
+                            offset=_HEADER_SIZE)
+    highs = records["high"]
+    lows = highs if level == 0 else records["low"]
+    return (RTreeNode.from_arrays(node_id, level, records["child"], lows,
+                                  highs), dims)

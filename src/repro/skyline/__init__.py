@@ -23,7 +23,7 @@ from .maintenance import (
     update_after_removal,
 )
 from .skyband import compute_kskyband, kskyband_naive
-from .state import PrunedItem, SkylineState
+from .state import PrunedItem, SkylineState, pruned_items
 
 __all__ = [
     "bbs_loop",
@@ -46,4 +46,5 @@ __all__ = [
     "kskyband_naive",
     "PrunedItem",
     "SkylineState",
+    "pruned_items",
 ]

@@ -17,18 +17,24 @@ maintenance after a member is removed never restarts from the root (see
 from __future__ import annotations
 
 import heapq
-from typing import AbstractSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..rtree.entry import Entry
 from ..rtree.tree import RTree
 from ..storage.stats import SearchStats
-from .state import PrunedItem, SkylineState
+from .state import SkylineState
 
-#: Heap item: (mindist key, is_point, child id, containing-node level, entry).
-#: Branches pop before equal-key points; equal-key points pop by object id.
-HeapItem = Tuple[float, int, int, int, Entry]
+#: Heap item: (mindist key, is_point, child id, containing-node level,
+#: low corner, high corner), the corners as float tuples. Branches pop
+#: before equal-key points; equal-key points pop by object id. Items carry
+#: the corners rather than an :class:`~repro.rtree.entry.Entry`, so rows
+#: pushed from node arrays need no entry objects.
+HeapItem = Tuple[float, int, int, int, Tuple[float, ...], Tuple[float, ...]]
+
+#: A row's node level: one int for rows of one node, or an (n,) array.
+Levels = Union[int, np.ndarray]
 
 
 def push_entry(heap: List[HeapItem], entry: Entry, node_level: int,
@@ -36,31 +42,77 @@ def push_entry(heap: List[HeapItem], entry: Entry, node_level: int,
     """Push one R-tree entry (from a node at ``node_level``) onto the heap."""
     key = entry.mbr.mindist_to_best()
     is_point = 1 if node_level == 0 else 0
-    heapq.heappush(heap, (key, is_point, entry.child, node_level, entry))
+    heapq.heappush(heap, (key, is_point, entry.child, node_level,
+                          entry.mbr.low, entry.mbr.high))
     if stats is not None:
         stats.heap_pushes += 1
 
 
-def park_or_push(state: SkylineState, heap: List[HeapItem],
-                 items: Sequence[PrunedItem],
-                 stats: Optional[SearchStats] = None) -> None:
-    """Park each ``(entry, level)`` under its earliest dominator, or push it.
+def push_rows(heap: List[HeapItem], rows: np.ndarray, children: np.ndarray,
+              levels: Levels, lows: np.ndarray, highs: np.ndarray,
+              stats: Optional[SearchStats] = None) -> None:
+    """:func:`push_entry` for the ``rows`` (indices) of node-style arrays.
 
-    All items are tested in one :meth:`SkylineState.first_dominators`
-    call. That is exact because parking and pushing never change the
-    skyline's members, so every item sees the state the first one saw.
+    Every key is computed in one pass, column by column from the left,
+    which is :meth:`~repro.geometry.MBR.mindist_to_best`'s left-to-right
+    sum, bit for bit; no key is computed with a reduction, whose
+    summation order numpy chooses.
     """
-    if not items:
+    if not len(rows):
+        return
+    row_highs = highs[rows]
+    keys = 1.0 - row_highs[:, 0]
+    for dim in range(1, row_highs.shape[1]):
+        keys += 1.0 - row_highs[:, dim]
+    high_corners = [tuple(high) for high in row_highs.tolist()]
+    low_corners = high_corners if lows is highs else [
+        tuple(low) for low in lows[rows].tolist()]
+    if isinstance(levels, np.ndarray):
+        row_levels = levels[rows].tolist()
+    else:
+        row_levels = [int(levels)] * len(rows)
+    for key, child, level, low, high in zip(
+            keys.tolist(), children[rows].tolist(), row_levels,
+            low_corners, high_corners):
+        heapq.heappush(heap, (key, 1 if level == 0 else 0, child, level,
+                              low, high))
+    if stats is not None:
+        stats.heap_pushes += len(rows)
+
+
+def park_or_push_rows(state: SkylineState, heap: List[HeapItem],
+                      children: np.ndarray, levels: Levels,
+                      lows: np.ndarray, highs: np.ndarray,
+                      stats: Optional[SearchStats] = None) -> None:
+    """Park each row under its earliest dominator, or push it.
+
+    All rows are tested in one :meth:`SkylineState.first_dominators`
+    call. That is exact because parking and pushing never change the
+    skyline's members, so every row sees the state the first one saw.
+    """
+    if not len(children):
         return
     if stats is not None:
-        stats.dominance_checks += len(items)
-    owners = state.first_dominators(
-        np.array([entry.mbr.high for entry, _ in items], dtype=np.float64))
-    for item, owner in zip(items, owners.tolist()):
-        if owner < 0:
-            push_entry(heap, item[0], item[1], stats)
-        else:
-            state.park(owner, item)
+        stats.dominance_checks += len(children)
+    owners = state.first_dominators(highs)
+    state.park_rows(owners, children, levels, lows, highs)
+    push_rows(heap, np.flatnonzero(owners < 0), children, levels, lows,
+              highs, stats)
+
+
+def leaf_rows(children: np.ndarray, lows: np.ndarray, highs: np.ndarray,
+              excluded: Optional[AbstractSet[int]],
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf arrays without the rows of ``excluded`` object ids."""
+    if not excluded:
+        return children, lows, highs
+    keep = [child not in excluded for child in children.tolist()]
+    if all(keep):
+        return children, lows, highs
+    rows = np.flatnonzero(keep)
+    kept_highs = highs[rows]
+    return (children[rows],
+            kept_highs if lows is highs else lows[rows], kept_highs)
 
 
 def bbs_loop(tree: RTree, heap: List[HeapItem], state: SkylineState,
@@ -81,29 +133,31 @@ def bbs_loop(tree: RTree, heap: List[HeapItem], state: SkylineState,
     """
     admitted: List[int] = []
     while heap:
-        _key, is_point, child, level, entry = heapq.heappop(heap)
+        _key, is_point, child, level, low, high = heapq.heappop(heap)
         if stats is not None:
             stats.heap_pops += 1
             stats.dominance_checks += 1
         if is_point and excluded is not None and child in excluded:
             continue
-        owner = state.first_dominator(entry.mbr.high)
+        owner = state.first_dominator(high)
         if owner is not None:
-            state.park(owner, (entry, level))
+            state.park_row(owner, child, level, low, high)
             continue
         if is_point:
-            _admit_point(state, child, entry)
+            _admit_point(state, child, low)
             admitted.append(child)
             continue
         node = tree.read_node(child)
-        entries = node.entries
-        if node.level == 0 and excluded is not None:
-            entries = [e for e in entries if e.child not in excluded]
-        park_or_push(state, heap, [(e, node.level) for e in entries], stats)
+        children, lows, highs = node.arrays()
+        if node.level == 0:
+            children, lows, highs = leaf_rows(children, lows, highs, excluded)
+        park_or_push_rows(state, heap, children, node.level, lows, highs,
+                          stats)
     return [object_id for object_id in admitted if object_id in state]
 
 
-def _admit_point(state: SkylineState, object_id: int, entry: Entry) -> None:
+def _admit_point(state: SkylineState, object_id: int,
+                 point: Sequence[float]) -> None:
     """Add a popped, undominated point; demote members it dominates.
 
     In exact arithmetic a member can never be dominated by a later pop
@@ -112,15 +166,23 @@ def _admit_point(state: SkylineState, object_id: int, entry: Entry) -> None:
     the skyline honest in that corner case, moving the victim and its
     pruned list under the new member.
     """
-    point = entry.mbr.low
     victims = state.dominated_members(point)
     state.add(object_id, point)
     for victim in victims:
-        victim_entry = Entry.for_object(victim, state.point(victim))
-        orphaned = state.remove(victim)
-        state.park(object_id, (victim_entry, 0))
-        for item in orphaned:
-            state.park(object_id, item)
+        state.demote(victim, object_id)
+
+
+def push_root(tree: RTree, heap: List[HeapItem],
+              stats: Optional[SearchStats] = None,
+              excluded: Optional[AbstractSet[int]] = None) -> None:
+    """Push every entry of the root (no dominance test: nothing is
+    admitted yet), skipping ``excluded`` objects in a leaf root."""
+    root = tree.read_root()
+    children, lows, highs = root.arrays()
+    if root.level == 0:
+        children, lows, highs = leaf_rows(children, lows, highs, excluded)
+    push_rows(heap, np.arange(len(children)), children, root.level, lows,
+              highs, stats)
 
 
 def compute_skyline(tree: RTree, stats: Optional[SearchStats] = None,
@@ -134,10 +196,6 @@ def compute_skyline(tree: RTree, stats: Optional[SearchStats] = None,
     """
     state = SkylineState(tree.dims)
     heap: List[HeapItem] = []
-    root = tree.read_root()
-    for entry in root.entries:
-        if root.level == 0 and excluded is not None and entry.child in excluded:
-            continue
-        push_entry(heap, entry, root.level, stats)
+    push_root(tree, heap, stats, excluded)
     bbs_loop(tree, heap, state, stats, excluded=excluded)
     return state

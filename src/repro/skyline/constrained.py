@@ -19,12 +19,24 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Optional
 
+import numpy as np
+
 from ..errors import DimensionalityError
 from ..geometry import MBR
 from ..rtree.tree import RTree
 from ..storage.stats import SearchStats
-from .bbs import HeapItem, _admit_point, park_or_push, push_entry
-from .state import PrunedItem, SkylineState
+from .bbs import HeapItem, _admit_point, park_or_push_rows, push_rows
+from .state import PrunedChunk, SkylineState, pruned_rows
+
+
+def _intersecting(region: MBR, lows: np.ndarray,
+                  highs: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose box meets ``region`` (as MBR.intersects)."""
+    hit = (region.low[0] <= highs[:, 0]) & (lows[:, 0] <= region.high[0])
+    for dim in range(1, region.dims):
+        hit &= (region.low[dim] <= highs[:, dim]) & (
+            lows[:, dim] <= region.high[dim])
+    return np.flatnonzero(hit)
 
 
 def _constrained_loop(tree: RTree, region: MBR, heap: List[HeapItem],
@@ -33,23 +45,27 @@ def _constrained_loop(tree: RTree, region: MBR, heap: List[HeapItem],
     """BBS drain restricted to ``region``; returns admitted ids."""
     admitted: List[int] = []
     while heap:
-        _key, is_point, child, level, entry = heapq.heappop(heap)
+        _key, is_point, child, level, low, high = heapq.heappop(heap)
         if stats is not None:
             stats.heap_pops += 1
             stats.dominance_checks += 1
-        if is_point and not region.contains_point(entry.mbr.low):
+        if is_point and not region.contains_point(low):
             continue
-        owner = state.first_dominator(entry.mbr.high)
+        owner = state.first_dominator(high)
         if owner is not None:
-            state.park(owner, (entry, level))
+            state.park_row(owner, child, level, low, high)
             continue
         if is_point:
-            _admit_point(state, child, entry)
+            _admit_point(state, child, low)
             admitted.append(child)
             continue
         node = tree.read_node(child)
-        park_or_push(state, heap, [(e, node.level) for e in node.entries
-                                   if region.intersects(e.mbr)], stats)
+        children, lows, highs = node.arrays()
+        if not len(children):
+            continue
+        rows = _intersecting(region, lows, highs)
+        park_or_push_rows(state, heap, children[rows], node.level,
+                          lows[rows], highs[rows], stats)
     return [object_id for object_id in admitted if object_id in state]
 
 
@@ -61,16 +77,17 @@ def constrained_skyline(tree: RTree, region: MBR,
     state = SkylineState(tree.dims)
     heap: List[HeapItem] = []
     root = tree.read_root()
-    for entry in root.entries:
-        if region.intersects(entry.mbr):
-            push_entry(heap, entry, root.level, stats)
+    children, lows, highs = root.arrays()
+    if len(children):
+        push_rows(heap, _intersecting(region, lows, highs), children,
+                  root.level, lows, highs, stats)
     _constrained_loop(tree, region, heap, state, stats)
     return state
 
 
 def constrained_update_after_removal(
     tree: RTree, region: MBR, state: SkylineState,
-    orphaned: Iterable[PrunedItem],
+    orphaned: Iterable[PrunedChunk],
     stats: Optional[SearchStats] = None,
 ) -> List[int]:
     """Region-aware ``UpdateSkyline`` for constrained skyline states.
@@ -80,6 +97,10 @@ def constrained_update_after_removal(
     points can neither join the skyline nor shadow in-region candidates.
     """
     heap: List[HeapItem] = []
-    park_or_push(state, heap, [item for item in orphaned
-                               if region.intersects(item[0].mbr)], stats)
+    rows = pruned_rows(orphaned)
+    if rows is not None:
+        children, levels, lows, highs = rows
+        kept = _intersecting(region, lows, highs)
+        park_or_push_rows(state, heap, children[kept], levels[kept],
+                          lows[kept], highs[kept], stats)
     return _constrained_loop(tree, region, heap, state, stats)

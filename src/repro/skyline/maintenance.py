@@ -20,19 +20,27 @@ with the current skyline.
 
 from __future__ import annotations
 
+import heapq
 from typing import AbstractSet, Iterable, List, Optional, Set
 
 import numpy as np
 
-from ..rtree.entry import Entry
 from ..rtree.tree import RTree
 from ..storage.stats import SearchStats
-from .bbs import HeapItem, _admit_point, bbs_loop, park_or_push, push_entry
-from .state import PrunedItem, SkylineState
+from .bbs import (
+    HeapItem,
+    _admit_point,
+    bbs_loop,
+    leaf_rows,
+    park_or_push_rows,
+    push_root,
+    push_rows,
+)
+from .state import PrunedChunk, SkylineState, pruned_rows
 
 
 def update_after_removal(tree: RTree, state: SkylineState,
-                         orphaned: Iterable[PrunedItem],
+                         orphaned: Iterable[PrunedChunk],
                          stats: Optional[SearchStats] = None,
                          excluded: Optional[AbstractSet[int]] = None,
                          ) -> List[int]:
@@ -40,16 +48,22 @@ def update_after_removal(tree: RTree, state: SkylineState,
 
     ``orphaned`` is the concatenation of the plists of the members removed
     in this round (one or several — Section IV-C removes multiple members
-    per loop). Returns the newly admitted member ids. ``excluded`` object
-    ids (assigned or logically deleted) are dropped instead of reinstated.
+    per loop), as :meth:`SkylineState.remove` returned them. Returns the
+    newly admitted member ids. ``excluded`` object ids (assigned or
+    logically deleted) are dropped instead of reinstated.
     """
     heap: List[HeapItem] = []
-    if excluded is None:
-        items = list(orphaned)
-    else:
-        items = [item for item in orphaned
-                 if item[1] != 0 or item[0].child not in excluded]
-    park_or_push(state, heap, items, stats)
+    rows = pruned_rows(orphaned)
+    if rows is not None:
+        children, levels, lows, highs = rows
+        if excluded:
+            keep = [level != 0 or child not in excluded for child, level
+                    in zip(children.tolist(), levels.tolist())]
+            if not all(keep):
+                kept = np.flatnonzero(keep)
+                children, levels = children[kept], levels[kept]
+                lows, highs = lows[kept], highs[kept]
+        park_or_push_rows(state, heap, children, levels, lows, highs, stats)
     return bbs_loop(tree, heap, state, stats, excluded=excluded)
 
 
@@ -72,14 +86,13 @@ def update_after_insertion(state: SkylineState, object_id: int,
     Returns ``True`` when the object became a skyline member.
     """
     point = tuple(float(value) for value in point)
-    entry = Entry.for_object(object_id, point)
     if stats is not None:
         stats.dominance_checks += 1
     for owner in state.dominators(point):
         if state.point(owner) != point or owner < object_id:
-            state.park(owner, (entry, 0))
+            state.park_row(owner, object_id, 0, point, point)
             return False
-    _admit_point(state, object_id, entry)
+    _admit_point(state, object_id, point)
     return True
 
 
@@ -94,22 +107,18 @@ def recompute_with_pruning(tree: RTree, state: SkylineState,
     nothing to park them under. Newly found members are added to ``state``
     and returned.
     """
-    import heapq
-
     heap: List[HeapItem] = []
-    root = tree.read_root()
-    for entry in root.entries:
-        push_entry(heap, entry, root.level, stats)
+    push_root(tree, heap, stats)
 
     admitted: List[int] = []
     while heap:
-        _key, is_point, child, level, entry = heapq.heappop(heap)
+        _key, is_point, child, _level, low, high = heapq.heappop(heap)
         if stats is not None:
             stats.heap_pops += 1
             stats.dominance_checks += 1
         if is_point and child in excluded:
             continue
-        if state.first_dominator(entry.mbr.high) is not None:
+        if state.first_dominator(high) is not None:
             continue
         if is_point:
             # Drop members this point dominates (float key-tie corner
@@ -117,26 +126,24 @@ def recompute_with_pruning(tree: RTree, state: SkylineState,
             # rediscovered by the next re-traversal. A victim admitted
             # earlier in this same pass is no longer a member, so it
             # must leave the admitted list too.
-            for victim in state.dominated_members(entry.mbr.low):
+            for victim in state.dominated_members(low):
                 state.remove(victim)
                 try:
                     admitted.remove(victim)
                 except ValueError:
                     pass
-            state.add(child, entry.mbr.low)
+            state.add(child, low)
             admitted.append(child)
             continue
         node = tree.read_node(child)
-        entries = node.entries
+        children, lows, highs = node.arrays()
         if stats is not None:
-            stats.dominance_checks += len(entries)
+            stats.dominance_checks += len(children)
         if node.level == 0:
-            entries = [e for e in entries if e.child not in excluded]
-        if not entries:
+            children, lows, highs = leaf_rows(children, lows, highs, excluded)
+        if not len(children):
             continue
-        owners = state.first_dominators(
-            np.array([e.mbr.high for e in entries], dtype=np.float64))
-        for sub_entry, owner in zip(entries, owners.tolist()):
-            if owner < 0:
-                push_entry(heap, sub_entry, node.level, stats)
+        owners = state.first_dominators(highs)
+        push_rows(heap, np.flatnonzero(owners < 0), children, node.level,
+                  lows, highs, stats)
     return admitted

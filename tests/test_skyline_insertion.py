@@ -9,10 +9,13 @@ session's logical deletes.
 
 import random
 
+import pytest
 
 from repro.data import generate_anticorrelated, generate_independent
+from repro.errors import DimensionalityError
 from repro.rtree import DiskNodeStore, MemoryNodeStore, RTree
 from repro.skyline import (
+    SkylineState,
     canonical_skyline_naive,
     compute_skyline,
     update_after_insertion,
@@ -122,3 +125,13 @@ def test_update_after_removal_drops_excluded_orphans():
                              excluded=excluded)
         expected = {oid: p for oid, p in pool.items() if oid not in excluded}
         assert sorted(state.ids()) == oracle_ids(expected)
+
+
+@pytest.mark.parametrize("members", [0, 3])
+def test_insertion_of_a_short_point_raises_dimensionality_error(members):
+    state = SkylineState(3)
+    for object_id in range(members):
+        state.add(object_id, (0.1 * object_id, 0.5, 0.9 - 0.1 * object_id))
+    with pytest.raises(DimensionalityError):
+        update_after_insertion(state, 99, (0.5, 0.5))
+    assert 99 not in state and len(state) == members

@@ -17,10 +17,12 @@ from dataclasses import asdict
 import pytest
 
 from repro.data import generate_anticorrelated, generate_independent
-from repro.rtree import DiskNodeStore, MemoryNodeStore, RTree
+from repro.geometry import MBR
+from repro.rtree import DiskNodeStore, Entry, MemoryNodeStore, RTree
 from repro.skyline import (
     SkylineState,
     compute_skyline,
+    pruned_items,
     recompute_with_pruning,
     update_after_removal,
 )
@@ -38,10 +40,16 @@ def first_dominator(state, point):
     return None
 
 
+def pop_entry(heap):
+    """Pop a heap item as ``(is_point, child, level, entry)``."""
+    _key, is_point, child, level, low, high = heapq.heappop(heap)
+    return is_point, child, level, Entry(MBR(low, high), child)
+
+
 def reference_bbs_loop(tree, heap, state, stats, excluded=None):
     admitted = []
     while heap:
-        _key, is_point, child, level, entry = heapq.heappop(heap)
+        is_point, child, level, entry = pop_entry(heap)
         stats.heap_pops += 1
         stats.dominance_checks += 1
         if is_point and excluded is not None and child in excluded:
@@ -51,7 +59,7 @@ def reference_bbs_loop(tree, heap, state, stats, excluded=None):
             state.park(owner, (entry, level))
             continue
         if is_point:
-            _admit_point(state, child, entry)
+            _admit_point(state, child, entry.mbr.low)
             admitted.append(child)
             continue
         node = tree.read_node(child)
@@ -105,7 +113,7 @@ def reference_recompute_with_pruning(tree, state, excluded, stats):
         push_entry(heap, entry, root.level, stats)
     admitted = []
     while heap:
-        _key, is_point, child, level, entry = heapq.heappop(heap)
+        is_point, child, level, entry = pop_entry(heap)
         stats.heap_pops += 1
         stats.dominance_checks += 1
         if is_point and child in excluded:
@@ -176,7 +184,9 @@ def run(backend, dataset, excluded, batched):
         victims = rng.sample(state.ids(), min(len(state), rng.randint(1, 3)))
         orphaned = []
         for victim in victims:
-            orphaned.extend(state.remove(victim))
+            chunks = state.remove(victim)
+            # The reference loop walks the orphans entry by entry.
+            orphaned.extend(chunks if batched else pruned_items(chunks))
         if excluded is not None:
             # Victims leave for good; so do some objects parked in plists
             # (assigned or deleted elsewhere), which must not come back.

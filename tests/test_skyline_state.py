@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.errors import DimensionalityError, ReproError
 from repro.rtree import Entry
-from repro.skyline import SkylineState
-from repro.skyline.state import KERNEL_CHUNK_ROWS
+from repro.skyline import SkylineState, pruned_items
+from repro.skyline import state as state_module
+from repro.skyline.state import KERNEL_CHUNK_ROWS, LEAD_MEMBERS
 
 
 def test_add_and_lookup():
@@ -30,10 +31,13 @@ def test_duplicate_add_rejected():
 def test_remove_returns_plist():
     state = SkylineState(2)
     state.add(1, (0.9, 0.9))
-    item = (Entry.for_object(2, (0.5, 0.5)), 0)
-    state.park(1, item)
-    plist = state.remove(1)
-    assert plist == [item]
+    items = [(Entry.for_object(2, (0.5, 0.5)), 0),
+             (Entry.for_object(3, (0.4, 0.6)), 0)]
+    for item in items:
+        state.park(1, item)
+    # remove() hands back the member's parked entries, in order, as
+    # plist chunks.
+    assert pruned_items(state.remove(1)) == items
     assert 1 not in state
     with pytest.raises(ReproError):
         state.remove(1)
@@ -100,6 +104,18 @@ def test_compaction_preserves_dominance_answers():
         if all(a >= b for a, b in zip(state.point(object_id), probe))
     ]
     assert state.dominators(probe) == expected
+
+
+@pytest.mark.parametrize("point", [(0.5, 0.5), (0.1, 0.2, 0.3, 0.4), ()])
+@pytest.mark.parametrize("members", [0, 2])
+@pytest.mark.parametrize("method", [
+    "dominated_members", "dominators", "first_dominator"])
+def test_point_queries_reject_wrong_width(method, members, point):
+    state = SkylineState(3)
+    for object_id in range(members):
+        state.add(object_id, (0.9 - object_id / 10, 0.2, 0.5))
+    with pytest.raises(DimensionalityError):
+        getattr(state, method)(point)
 
 
 def test_park_appends_in_order():
@@ -198,6 +214,29 @@ def test_first_dominators_across_chunks():
         admitted.append((object_id, point))
     highs = rng.integers(0, 6, (2 * KERNEL_CHUNK_ROWS + 7, 2)) / 5
     assert_kernel_matches(state, admitted, highs)
+
+
+@pytest.mark.parametrize("split_pairs", [0, 10 ** 9],
+                         ids=["lead-pass", "one-pass"])
+def test_first_dominators_lead_pass_is_exact(monkeypatch, split_pairs):
+    monkeypatch.setattr(state_module, "LEAD_SPLIT_PAIRS", split_pairs)
+    rng = np.random.default_rng(36)
+    state = SkylineState(3)
+    # Distinct points, weakest first: many rows fall through the lead
+    # block, and each member is the first dominator of its own point.
+    points = sorted({tuple(rng.integers(0, 5, 3) / 4) for _ in range(200)},
+                    key=lambda point: (sum(point), point))
+    for object_id, point in enumerate(points):
+        state.add(object_id, point)
+    # Tombstones inside and after the lead block.
+    for object_id in range(0, len(points), 7):
+        state.remove(object_id)
+    admitted = [(i, p) for i, p in enumerate(points) if i % 7]
+    assert len(admitted) > 2 * LEAD_MEMBERS
+    highs = rng.integers(0, 5, (KERNEL_CHUNK_ROWS + 90, 3)) / 4
+    # Each member's own point, which that member owns.
+    members = np.array([point for _, point in admitted])
+    assert_kernel_matches(state, admitted, np.vstack([highs, members]))
 
 
 def test_first_dominators_empty_state_and_zero_rows():
