@@ -13,9 +13,10 @@ of the batched request path:
   scoring pass instead of one tree traversal per function;
 * **async coalescing** — ``AsyncMatchingService`` wraps the same
   service for asyncio deployments: concurrent ``await submit(...)``
-  calls are coalesced into micro-batches (``max_batch`` /
-  ``max_wait_ms``) and driven through ``submit_many`` on an executor,
-  so a burst of independent awaiters shares one batch's economics.
+  calls are coalesced into micro-batches (group commit: whatever is
+  queued when the collector is free, up to ``max_batch``) and driven
+  through ``submit_many`` on an executor, so a burst of independent
+  awaiters shares one batch's economics.
 
 Every answer is verified pair-identical to a from-scratch
 ``repro.match()``.
@@ -102,7 +103,7 @@ def main(n_listings: int = 4000, n_buyers: int = 24,
 
     async def async_burst():
         async with repro.AsyncMatchingService(
-            service, max_batch=16, max_wait_ms=10,
+            service, max_batch=16,
         ) as front:
             rng = random.Random(19)
             tasks = [

@@ -492,6 +492,8 @@ def _run_net_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
         "inproc_rps": point.inproc_rps,
         "net_rps": point.net_rps,
         "ratio": point.ratio,
+        "requests_per_batch": point.requests_per_batch,
+        "fallback_requests": float(point.fallback_requests),
         "n_requests": float(point.n_requests),
         "n_objects": float(point.n_objects),
         "n_functions": float(point.n_functions),

@@ -61,11 +61,20 @@ class NetPoint:
     n_requests: int
     inproc_rps: float
     net_rps: float
+    #: Server-side ``submit_many`` calls and tree-path misses during the
+    #: served stream (``stats`` RPC deltas).
+    batches: int
+    fallback_requests: int
 
     @property
     def ratio(self) -> float:
         """Networked / in-process requests-per-second."""
         return self.net_rps / max(1e-9, self.inproc_rps)
+
+    @property
+    def requests_per_batch(self) -> float:
+        """How many served requests each server batch held on average."""
+        return self.n_requests / max(1, self.batches)
 
 
 @dataclass
@@ -150,7 +159,8 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
     ``(n_objects, dims, seed)``; both sides answer the same distinct
     workload stream in ``batch_size`` chunks from a cold cache, and the
     served answers are verified pair-identical to the in-process ones
-    before any rate is computed.
+    before any rate is computed. The server's ``stats`` RPC, read
+    before and after the timed stream, says how the stream was batched.
     """
     from ..net import MatchingClient
 
@@ -181,6 +191,7 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
     ])
     try:
         with MatchingClient(host, port, timeout=120.0) as client:
+            before = client.stats()
             start = time.perf_counter()
             served: List = []
             for offset in range(0, len(workloads), batch_size):
@@ -188,6 +199,7 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
                     workloads[offset:offset + batch_size]
                 ))
             net_seconds = time.perf_counter() - start
+            after = client.stats()
     finally:
         _stop(process)
 
@@ -205,6 +217,9 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
         n_requests=len(workloads),
         inproc_rps=len(workloads) / max(1e-9, inproc_seconds),
         net_rps=len(workloads) / max(1e-9, net_seconds),
+        batches=after["batches"] - before["batches"],
+        fallback_requests=(after["fallback_requests"]
+                           - before["fallback_requests"]),
     )
 
 

@@ -3,13 +3,16 @@
 A thin coalescing layer over :class:`~repro.engine.service.MatchingService`
 for async deployments (an aiohttp/FastAPI handler, a websocket fan-in):
 each ``await submit(request)`` parks the request on an internal queue,
-a collector task gathers arrivals into micro-batches — up to
-``max_batch`` requests, waiting at most ``max_wait_ms`` after the first
-— and drives the synchronous :meth:`MatchingService.submit_many` on an
-executor thread, so the event loop never blocks on matching work.
+and a collector task drives the synchronous
+:meth:`MatchingService.submit_many` on an executor thread, so the event
+loop never blocks on matching work.
 
-The coalescing is what turns concurrent single submissions into the
-batched fast path: a burst of ``await``-ers lands in one
+The collector is a group commit: it takes the first queued request,
+adds whatever else is already queued (up to ``max_batch``) and
+dispatches at once. There is no window: a request that reaches an idle
+front-end never waits, and requests that arrive while a batch runs form
+the next batch. That is what turns concurrent single submissions into
+the batched fast path — a burst of ``await``-ers lands in one
 ``submit_many`` call, where duplicates are computed once and linear
 misses share one vectorized scoring pass. Results are exactly what the
 wrapped service returns — pair-identical to sequential submission.
@@ -60,10 +63,6 @@ from .service import MatchingService
 #: ``submit_many`` call may coalesce.
 DEFAULT_MAX_BATCH = 32
 
-#: Default coalescing window in milliseconds: how long the collector
-#: waits after the first arrival for batch-mates.
-DEFAULT_MAX_WAIT_MS = 2.0
-
 _SHUTDOWN = object()
 
 
@@ -77,29 +76,23 @@ class AsyncMatchingService:
     max_batch:
         Coalescing bound: at most this many requests per
         ``submit_many`` call.
-    max_wait_ms:
-        Coalescing window: after the first request of a batch arrives,
-        wait at most this long for more before dispatching. ``0``
-        dispatches whatever is already queued without waiting.
+
+    A batch is the first queued request plus whatever else is already
+    queued when the collector takes it, up to ``max_batch``; it is
+    dispatched at once, never held open for later arrivals.
 
     Use as an async context manager, or call :meth:`aclose` explicitly;
     both drain queued requests before returning.
     """
 
     def __init__(self, service: MatchingService, *,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS) -> None:
+                 max_batch: int = DEFAULT_MAX_BATCH) -> None:
         if max_batch < 1:
             raise MatchingError(
                 f"max_batch must be >= 1, got {max_batch}"
             )
-        if max_wait_ms < 0:
-            raise MatchingError(
-                f"max_wait_ms must be >= 0, got {max_wait_ms}"
-            )
         self.service = service
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         #: Micro-batches dispatched so far.
         self.batches_dispatched = 0
         #: Requests coalesced so far.
@@ -150,35 +143,20 @@ class AsyncMatchingService:
             )
 
     async def _collect(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             item = await self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            batch: List[Tuple[MatchingRequest, asyncio.Future]] = [item]
-            stop = False
-            deadline = loop.time() + self.max_wait_ms / 1e3
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Window over: grab whatever is already queued.
-                    try:
-                        item = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    try:
-                        item = await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        break
-                if item is _SHUTDOWN:
-                    stop = True
-                    break
+            batch: List[Tuple[MatchingRequest, asyncio.Future]] = []
+            while item is not _SHUTDOWN:
                 batch.append(item)
-            await self._dispatch(batch)
-            if stop:
+                if len(batch) == self.max_batch:
+                    break
+                try:
+                    item = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
+            if batch:
+                await self._dispatch(batch)
+            if item is _SHUTDOWN:
                 return
 
     async def _dispatch(self, batch) -> None:
@@ -240,7 +218,6 @@ class AsyncMatchingService:
         )
         return (
             f"AsyncMatchingService({self.service!r}, "
-            f"max_batch={self.max_batch}, "
-            f"max_wait_ms={self.max_wait_ms}, {state}, "
+            f"max_batch={self.max_batch}, {state}, "
             f"batches={self.batches_dispatched})"
         )

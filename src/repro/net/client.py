@@ -6,9 +6,9 @@ serving API:
 :class:`MatchingClient`
     Synchronous, for scripts, benchmarks, and thread-based callers.
     One blocking socket per client; :meth:`MatchingClient.submit_many`
-    pipelines a whole batch over the single connection (all request
-    frames written before any response is read), which is what lets
-    the server coalesce the batch into one vectorized
+    pipelines a whole batch over the single connection: every request
+    frame goes out in one write before any response is read, so the
+    server reads the burst at once and answers it with one vectorized
     ``submit_many`` pass.
 :class:`AsyncMatchingClient`
     The same surface for asyncio callers, over an
@@ -161,9 +161,8 @@ class MatchingClient:
         assert self._sock is not None
         wanted = [message["id"] for message in messages]
         try:
-            for message in messages:
-                send_frame(self._sock,
-                           json.dumps(message).encode("utf-8"))
+            send_frame(self._sock, *[json.dumps(message).encode("utf-8")
+                                     for message in messages])
             responses: Dict[Any, Dict[str, Any]] = {}
             outstanding = set(wanted)
             while outstanding:
@@ -203,8 +202,8 @@ class MatchingClient:
     def submit_many(self, requests: Sequence[Any]) -> List[MatchResult]:
         """Answer a batch, pipelined over the one connection.
 
-        All frames are written before any response is read, so the
-        server's micro-batcher sees the whole batch at once. Results
+        All frames go out in one write before any response is read, so
+        the server's micro-batcher sees the whole batch at once. Results
         come back in submission order; the first failed request's typed
         error is raised (after all responses are drained, so the
         connection survives).
@@ -317,11 +316,10 @@ class AsyncMatchingClient:
             assert self._reader is not None and self._writer is not None
             wanted = [message["id"] for message in messages]
             try:
-                for message in messages:
-                    await write_frame_async(
-                        self._writer,
-                        json.dumps(message).encode("utf-8"),
-                    )
+                await write_frame_async(
+                    self._writer, *[json.dumps(message).encode("utf-8")
+                                    for message in messages],
+                )
                 responses: Dict[Any, Dict[str, Any]] = {}
                 outstanding = set(wanted)
                 while outstanding:

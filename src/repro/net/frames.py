@@ -48,14 +48,18 @@ DEFAULT_CONNECT_ATTEMPTS = 3
 DEFAULT_BACKOFF_SECONDS = 0.05
 
 
-def encode_frame(payload: bytes) -> bytes:
-    """Header + payload, ready for one ``sendall``/``write``."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise NetworkError(
-            f"frame of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte cap"
-        )
-    return HEADER.pack(len(payload)) + payload
+def encode_frame(*payloads: bytes) -> bytes:
+    """Header + payload for each payload, concatenated, ready for one
+    ``sendall``/``write``."""
+    parts = []
+    for payload in payloads:
+        if len(payload) > MAX_FRAME_BYTES:
+            raise NetworkError(
+                f"frame of {len(payload)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte cap"
+            )
+        parts += (HEADER.pack(len(payload)), payload)
+    return b"".join(parts)
 
 
 def _checked_length(header: bytes) -> int:
@@ -90,9 +94,10 @@ def _recv_exact(sock: socket.socket, n: int,
     return b"".join(chunks)
 
 
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    """Write one frame to a blocking socket."""
-    sock.sendall(encode_frame(payload))
+def send_frame(sock: socket.socket, *payloads: bytes) -> None:
+    """Write one frame per payload to a blocking socket, in one
+    ``sendall`` (a pipelined batch reaches the peer as one burst)."""
+    sock.sendall(encode_frame(*payloads))
 
 
 def recv_frame(sock: socket.socket) -> Optional[bytes]:
@@ -175,9 +180,10 @@ async def read_frame_async(
 
 
 async def write_frame_async(writer: "asyncio.StreamWriter",
-                            payload: bytes) -> None:
-    """Write one frame to an :class:`asyncio.StreamWriter` and drain."""
-    writer.write(encode_frame(payload))
+                            *payloads: bytes) -> None:
+    """Write one frame per payload to an :class:`asyncio.StreamWriter`
+    with one ``write``, then drain once."""
+    writer.write(encode_frame(*payloads))
     await writer.drain()
 
 

@@ -4,11 +4,13 @@ The server binds the existing in-process pipeline to a TCP port:
 each connection speaks length-prefixed JSON frames
 (:mod:`repro.net.frames`), every ``match`` message is decoded into a
 :class:`~repro.engine.request.MatchingRequest` and awaited on an
-:class:`~repro.engine.async_service.AsyncMatchingService` — so
-concurrent frames from many connections coalesce into the same
-micro-batches, duplicate elimination, and vectorized scoring that
-in-process callers get. Responses carry the matched request ``id``,
-so clients may pipeline any number of frames over one connection.
+:class:`~repro.engine.async_service.AsyncMatchingService` — so frames
+get the same group-commit micro-batches, duplicate elimination, and
+vectorized scoring that in-process callers get. A pipelined burst that
+arrives in one read is queued whole before the collector wakes, so it
+becomes one batch; a request that reaches an idle server is dispatched
+at once. Responses carry the matched request ``id``, so clients may
+pipeline any number of frames over one connection.
 
 Three operations:
 
@@ -40,11 +42,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from ..engine.async_service import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_MS,
-    AsyncMatchingService,
-)
+from ..engine.async_service import DEFAULT_MAX_BATCH, AsyncMatchingService
 from ..engine.service import MatchingService
 from ..errors import (
     CodecError,
@@ -97,8 +95,8 @@ class MatchingServer:
     host / port:
         Bind address; port ``0`` picks a free port (read it back from
         :attr:`address` after :meth:`start`).
-    max_batch / max_wait_ms:
-        Coalescing knobs of the internal
+    max_batch:
+        Batch bound of the internal
         :class:`~repro.engine.async_service.AsyncMatchingService`.
     close_service:
         Close the wrapped service when the server stops.
@@ -107,15 +105,12 @@ class MatchingServer:
     def __init__(self, service: MatchingService, *,
                  host: str = DEFAULT_HOST, port: int = 0,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  close_service: bool = False) -> None:
         self.service = service
         self.host = host
         self.port = port
         self.close_service = close_service
-        self._front = AsyncMatchingService(
-            service, max_batch=max_batch, max_wait_ms=max_wait_ms,
-        )
+        self._front = AsyncMatchingService(service, max_batch=max_batch)
         self._server: Optional[Any] = None
         self._draining = False
         self._stopped = False

@@ -1,7 +1,8 @@
-"""The asyncio micro-batching front-end: coalescing, identity with the
-synchronous path, timeouts, and lifecycle."""
+"""The asyncio micro-batching front-end: group-commit coalescing,
+identity with the synchronous path, timeouts, and lifecycle."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -28,8 +29,7 @@ def test_burst_is_coalesced_and_pair_identical(serving):
                  for s in range(20)]
 
     async def burst():
-        async with AsyncMatchingService(service, max_batch=16,
-                                        max_wait_ms=20) as front:
+        async with AsyncMatchingService(service, max_batch=16) as front:
             results = await asyncio.gather(
                 *[front.submit(functions) for functions in workloads]
             )
@@ -38,8 +38,8 @@ def test_burst_is_coalesced_and_pair_identical(serving):
 
     results, batches, coalesced = asyncio.run(burst())
     assert coalesced == len(workloads)
-    # 20 near-simultaneous arrivals with a 20ms window and max_batch=16
-    # must land in far fewer submit_many calls than requests.
+    # 20 simultaneous arrivals with max_batch=16 must land in far fewer
+    # submit_many calls than requests.
     assert batches <= 4
     for result, functions in zip(results, workloads):
         cold = repro.match(objects, functions, backend="memory")
@@ -54,7 +54,7 @@ def test_async_submit_accepts_requests_and_sequences(serving):
     prefs = generate_preferences(4, 3, seed=120)
 
     async def one():
-        async with AsyncMatchingService(service, max_wait_ms=0) as front:
+        async with AsyncMatchingService(service) as front:
             from_sequence = await front.submit(prefs)
             from_request = await front.submit(MatchingRequest(prefs))
             return from_sequence, from_request
@@ -68,7 +68,7 @@ def test_async_timeout_cancels_the_waiter_not_the_batch(serving):
     prefs = generate_preferences(4, 3, seed=121)
 
     async def run():
-        front = AsyncMatchingService(service, max_wait_ms=0)
+        front = AsyncMatchingService(service)
         with pytest.raises(asyncio.TimeoutError):
             # An impossible deadline: the matching takes longer.
             await front.submit(
@@ -118,8 +118,6 @@ def test_constructor_validates_knobs(serving):
     _, service = serving
     with pytest.raises(MatchingError):
         AsyncMatchingService(service, max_batch=0)
-    with pytest.raises(MatchingError):
-        AsyncMatchingService(service, max_wait_ms=-1)
 
 
 def test_service_errors_propagate_to_every_waiter():
@@ -129,7 +127,7 @@ def test_service_errors_propagate_to_every_waiter():
     service.close()                      # submissions will raise
 
     async def run():
-        front = AsyncMatchingService(service, max_batch=4, max_wait_ms=20)
+        front = AsyncMatchingService(service, max_batch=4)
         workloads = [generate_preferences(3, 2, seed=99 + s)
                      for s in range(3)]
         outcomes = await asyncio.gather(
@@ -142,3 +140,132 @@ def test_service_errors_propagate_to_every_waiter():
     outcomes = asyncio.run(run())
     assert len(outcomes) == 3
     assert all(isinstance(outcome, MatchingError) for outcome in outcomes)
+
+
+# ----------------------------------------------------------------------
+# Group commit: what forms a batch, with no timing involved
+# ----------------------------------------------------------------------
+class RecordingService:
+    """Stands in for a MatchingService: records the tag of every request
+    in each ``submit_many`` batch and blocks there until ``release`` is
+    set; each request is answered with its own tag."""
+
+    def __init__(self):
+        self.batches = []
+        self.queued_at_dispatch = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.front = None
+
+    def submit_many(self, requests):
+        self.batches.append([request.tags[0] for request in requests])
+        if self.front is not None:
+            self.queued_at_dispatch.append(self.front._queue.qsize())
+        self.entered.set()
+        assert self.release.wait(5.0), "the test never released the batch"
+        return [request.tags[0] for request in requests]
+
+
+def tagged(tag):
+    return MatchingRequest(tags=(tag,))
+
+
+async def entered(stub):
+    """Wait (off the loop) until the stub's first batch is running."""
+    loop = asyncio.get_running_loop()
+    return await loop.run_in_executor(None, stub.entered.wait, 5.0)
+
+
+class FrozenClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock never moves, so no timer ever fires."""
+
+    def time(self):
+        return 0.0
+
+
+def test_lone_submit_is_dispatched_at_once_with_the_queue_empty():
+    stub = RecordingService()
+
+    async def run():
+        async with AsyncMatchingService(stub) as front:
+            stub.front = front
+            lone = asyncio.ensure_future(front.submit(tagged("lone")))
+            # No timer can fire on this loop: the batch must go out
+            # without any window elapsing.
+            reached = await entered(stub)
+            stub.release.set()
+            return reached, (await lone) if reached else None
+
+    loop = FrozenClockLoop()
+    try:
+        reached, answer = loop.run_until_complete(run())
+    finally:
+        loop.close()
+    assert reached, "a lone submit waited for batch-mates"
+    assert answer == "lone"
+    assert stub.batches == [["lone"]]
+    assert stub.queued_at_dispatch == [0]
+
+
+def test_requests_arriving_during_a_batch_form_the_next_batch():
+    stub = RecordingService()
+
+    async def run():
+        async with AsyncMatchingService(stub) as front:
+            first = asyncio.ensure_future(front.submit(tagged("first")))
+            assert await entered(stub)
+            later = [asyncio.ensure_future(front.submit(tagged(f"r{n}")))
+                     for n in range(5)]
+            await asyncio.sleep(0)          # every later submit queues
+            stub.release.set()
+            return await first, await asyncio.gather(*later)
+
+    first, later = asyncio.run(run())
+    assert first == "first"
+    assert later == [f"r{n}" for n in range(5)]
+    assert stub.batches == [["first"], [f"r{n}" for n in range(5)]]
+
+
+def test_a_queued_backlog_splits_at_max_batch_in_order():
+    stub = RecordingService()
+    tags = [f"q{n}" for n in range(40)]
+
+    async def run():
+        async with AsyncMatchingService(stub, max_batch=16) as front:
+            first = asyncio.ensure_future(front.submit(tagged("first")))
+            assert await entered(stub)
+            queued = [asyncio.ensure_future(front.submit(tagged(tag)))
+                      for tag in tags]
+            await asyncio.sleep(0)
+            stub.release.set()
+            await first
+            return await asyncio.gather(*queued), front.batches_dispatched
+
+    answers, batches = asyncio.run(run())
+    assert answers == tags
+    assert batches == 4
+    assert stub.batches[1:] == [tags[:16], tags[16:32], tags[32:]]
+
+
+def test_aclose_answers_work_queued_behind_a_running_batch():
+    stub = RecordingService()
+
+    async def run():
+        front = AsyncMatchingService(stub)
+        first = asyncio.ensure_future(front.submit(tagged("first")))
+        assert await entered(stub)
+        queued = [asyncio.ensure_future(front.submit(tagged(f"q{n}")))
+                  for n in range(3)]
+        await asyncio.sleep(0)
+        closing = asyncio.ensure_future(front.aclose())
+        await asyncio.sleep(0)              # the close is now queued too
+        stub.release.set()
+        await closing
+        with pytest.raises(MatchingError):
+            await front.submit(tagged("late"))
+        return await first, await asyncio.gather(*queued)
+
+    first, queued = asyncio.run(run())
+    assert first == "first"
+    assert queued == ["q0", "q1", "q2"]
+    assert stub.batches == [["first"], ["q0", "q1", "q2"]]

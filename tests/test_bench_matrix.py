@@ -207,6 +207,9 @@ def test_net_cell_is_identical_and_reports_rates():
     assert cell.metrics["n_functions"] == 4
     for metric in ("inproc_rps", "net_rps", "ratio"):
         assert cell.metrics[metric] > 0
+    # The pipelined pair reaches the server as one vectorized batch.
+    assert cell.metrics["requests_per_batch"] == 2
+    assert cell.metrics["fallback_requests"] == 0
 
 
 def test_matrix_payload_schema_validates(tiny_result):

@@ -47,7 +47,7 @@ def test_aclose_teardown_does_not_block_the_event_loop():
     service.close = slow_close
 
     async def run():
-        front = AsyncMatchingService(service, max_wait_ms=0)
+        front = AsyncMatchingService(service)
         await front.submit(generate_preferences(3, 2, seed=9))
         heartbeats = 0
 

@@ -70,12 +70,112 @@ def test_submit_many_pipelines_a_batch_over_one_connection(served):
     ]
     local = service.submit_many(workloads)
     with MatchingClient(host, port) as client:
+        before = client.stats()["batches"]
         remote = client.submit_many(workloads)
+        # The burst arrives in one write, so the server answers it with
+        # one submit_many batch.
+        assert client.stats()["batches"] - before == 1
     assert len(remote) == len(local)
     for got, want in zip(remote, local):
         assert got.as_set() == want.as_set()
         assert ([pair.score for pair in got]
                 == [pair.score for pair in want])
+
+
+class RecordingSocket:
+    """Wraps a connected socket; records every ``sendall``."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+        self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+class RecordingWriter:
+    """Wraps an asyncio StreamWriter; records every ``write``/``drain``."""
+
+    def __init__(self, writer):
+        self.writer = writer
+        self.written = []
+        self.drains = 0
+
+    def write(self, data):
+        self.written.append(bytes(data))
+        self.writer.write(data)
+
+    async def drain(self):
+        self.drains += 1
+        await self.writer.drain()
+
+    def __getattr__(self, name):
+        return getattr(self.writer, name)
+
+
+def batch_frames(workloads, first_id):
+    """The bytes a client pipelines for ``workloads``: one match frame
+    per request, ids counting up from ``first_id``."""
+    import json
+
+    from repro.net.codec import encode_request
+    from repro.net.frames import encode_frame
+
+    return b"".join(
+        encode_frame(json.dumps({
+            "id": first_id + n, "op": "match",
+            "payload": encode_request(repro.MatchingRequest.of(functions)),
+        }).encode("utf-8"))
+        for n, functions in enumerate(workloads)
+    )
+
+
+def test_several_payloads_read_back_as_one_frame_each():
+    from repro.net.frames import recv_frame, send_frame
+
+    left, right = socket.socketpair()
+    with left, right:
+        send_frame(left, b"one", b"", b"three")
+        assert [recv_frame(right) for _ in range(3)] == \
+            [b"one", b"", b"three"]
+
+
+def test_sync_client_writes_a_batch_with_one_sendall(served):
+    objects, service, harness, host, port = served
+    workloads = [repro.generate_preferences(n=3, dims=2, seed=seed)
+                 for seed in range(20, 26)]
+    with MatchingClient(host, port) as client:
+        recorder = RecordingSocket(client._sock)
+        client._sock = recorder
+        remote = client.submit_many(workloads)
+    assert recorder.sent == [batch_frames(workloads, first_id=1)]
+    assert [r.as_set() for r in remote] == \
+        [r.as_set() for r in service.submit_many(workloads)]
+
+
+def test_async_client_writes_a_batch_with_one_write_and_one_drain(served):
+    import asyncio
+
+    objects, service, harness, host, port = served
+    workloads = [repro.generate_preferences(n=3, dims=2, seed=seed)
+                 for seed in range(30, 36)]
+
+    async def go():
+        async with AsyncMatchingClient(host, port) as client:
+            recorder = RecordingWriter(client._writer)
+            client._writer = recorder
+            results = await client.submit_many(workloads)
+        return recorder, results
+
+    recorder, remote = asyncio.run(go())
+    assert recorder.written == [batch_frames(workloads, first_id=1)]
+    assert recorder.drains == 1
+    assert [r.as_set() for r in remote] == \
+        [r.as_set() for r in service.submit_many(workloads)]
 
 
 def test_stats_and_health_rpcs(served):
