@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import MatchingProblem
 from repro.data import generate_anticorrelated, generate_independent
-from repro.engine import MatchingEngine
+from repro.engine import MatchingConfig, create_matcher, get_backend
 from repro.prefs import FunctionIndex, generate_preferences
 from repro.rtree import DiskNodeStore, RTree, top1
 from repro.skyline import compute_skyline, update_after_removal
@@ -113,7 +113,7 @@ def test_micro_problem_build(benchmark, dataset):
 
 
 def _sb_backend_run(benchmark, dataset, backend):
-    """SB hot path through the engine on one storage backend.
+    """SB hot path on one storage backend (staged once, matched per round).
 
     The disk backend pays page (de)serialization and buffer bookkeeping
     on every node touch; the memory backend pins how much of SB's cost
@@ -122,12 +122,12 @@ def _sb_backend_run(benchmark, dataset, backend):
     large — the hard case for the storage layer.
     """
     functions = generate_preferences(N_FUNCTIONS, DIMS, seed=SEED + 4)
-    engine = MatchingEngine(algorithm="sb", backend=backend)
-    problem = engine.build_problem(dataset, functions)
+    config = MatchingConfig(algorithm="sb", backend=backend)
+    problem = get_backend(backend).build_problem(dataset, functions, config)
 
     def run():
         problem.reset_io()
-        return engine.create_matcher(problem).run()
+        return create_matcher(config.algorithm, problem, config).run()
 
     matching = benchmark(run)
     assert len(matching) == N_FUNCTIONS

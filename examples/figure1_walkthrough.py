@@ -10,9 +10,10 @@ Run with::
     python examples/figure1_walkthrough.py
 """
 
-from repro import MatchingEngine
-from repro.core import TraceRecorder
+from repro import MatchingConfig
+from repro.core import RoundRecorder
 from repro.data import Dataset
+from repro.engine import create_matcher, get_backend
 from repro.prefs import LinearPreference
 from repro.skyline import compute_skyline
 
@@ -32,8 +33,10 @@ F2 = LinearPreference(2, (0.6, 0.4))
 
 def main() -> None:
     objects = Dataset([POINTS[letter] for letter in LETTERS], name="figure1")
-    engine = MatchingEngine(algorithm="sb")
-    problem = engine.build_problem(objects, [F1, F2])
+    config = MatchingConfig(algorithm="sb")
+    problem = get_backend(config.backend).build_problem(
+        objects, [F1, F2], config
+    )
 
     print("Objects (the 13 points of Figure 1):")
     for letter in LETTERS:
@@ -52,10 +55,11 @@ def main() -> None:
         print(f"  skyline object {NAME[oid]} owns {parked} pruned entries")
 
     print("\nStep 2 — iterate BestPair + UpdateSkyline:")
-    recorder = TraceRecorder()
+    recorder = RoundRecorder()
     # create_matcher forwards extra keywords (like the trace hook)
     # straight to the algorithm's constructor.
-    matcher = engine.create_matcher(problem, on_round=recorder)
+    matcher = create_matcher(config.algorithm, problem, config,
+                             on_round=recorder)
     for pair in matcher.pairs():
         fname = f"f{pair.function_id}"
         print(

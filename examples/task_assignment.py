@@ -18,11 +18,12 @@ Run with::
 
 import repro
 from repro import (
-    MatchingEngine,
+    MatchingConfig,
     compute_skyline,
     generate_anticorrelated,
     generate_preferences,
 )
+from repro.engine import get_backend
 
 DIMS = 4  # cpu, memory, disk, network
 
@@ -31,7 +32,10 @@ def main(n_workers: int = 10_000, n_jobs: int = 250) -> None:
     workers = generate_anticorrelated(n=n_workers, dims=DIMS, seed=21)
     jobs = generate_preferences(n=n_jobs, dims=DIMS, seed=22)
 
-    problem = MatchingEngine(algorithm="sb").build_problem(workers, jobs)
+    config = MatchingConfig(algorithm="sb")
+    problem = get_backend(config.backend).build_problem(
+        workers, jobs, config
+    )
 
     # Under the hood: only skyline workers can ever be anyone's top-1.
     state = compute_skyline(problem.tree)

@@ -7,7 +7,7 @@ using the paper's skyline-based SB algorithm, with the Brute Force and
 Chain baselines, a simulated disk + LRU buffer cost model, and a full
 benchmark harness reproducing the paper's figures.
 
-Quickstart (the unified facade):
+Quickstart (``repro.match``, the one-shot front door):
 
     >>> import repro
     >>> objects = repro.generate_independent(n=300, dims=3, seed=7)
@@ -49,7 +49,8 @@ linear misses are scored in one vectorized pass (``repro.plan`` and
 
 ``repro.match`` accepts any registered algorithm
 (:func:`repro.available_algorithms`) and storage backend
-(:func:`repro.available_backends`); the lower-level classes
+(:func:`repro.available_backends`), and runs through the same
+``repro.plan`` pipeline; the lower-level classes
 (:class:`MatchingProblem`, :class:`SkylineMatcher`, ...) stay available
 for streaming pairs and custom instrumentation, and
 :func:`repro.open_session` keeps a matching alive under streaming
@@ -78,14 +79,12 @@ from .core import (
     SkylineMatcher,
     find_blocking_pairs,
     greedy_reference_matching,
-    match_with_capacities,
     summarize,
     verify_stable_matching,
 )
 from .engine import (
     AsyncMatchingService,
     MatchingConfig,
-    MatchingEngine,
     MatchingPlan,
     MatchingRequest,
     MatchingService,
@@ -155,7 +154,6 @@ __all__ = [
     "GenericSkylineMatcher",
     "AsyncMatchingService",
     "MatchingConfig",
-    "MatchingEngine",
     "MatchingPlan",
     "MatchingRequest",
     "MatchingService",
@@ -189,7 +187,6 @@ __all__ = [
     "TraceRecorder",
     "scenario_trace",
     "MatchingReport",
-    "match_with_capacities",
     "summarize",
     "Matcher",
     "Matching",

@@ -38,10 +38,12 @@ from ...dynamic import (
 )
 from ...engine import (
     MatchingConfig,
-    MatchingEngine,
     MatchingPlan,
     MatchingService,
     MatchResult,
+    create_matcher,
+    get_backend,
+    match,
 )
 from ...errors import MatchingError
 from ...prefs import LinearPreference, generate_preferences
@@ -136,10 +138,8 @@ class MatrixContext:
         """The canonical matching of one workload, as a pair set."""
         key = (id(objects), id(functions))
         if key not in self._references:
-            engine = MatchingEngine(MatchingConfig(
-                algorithm=self.reference, backend="memory",
-            ))
-            result = engine.match(objects, list(functions))
+            result = match(objects, list(functions),
+                           algorithm=self.reference, backend="memory")
             self._references[key] = frozenset(result.as_set())
         return self._references[key]
 
@@ -152,13 +152,15 @@ def _timed_match(config: MatchingConfig, objects: Dataset,
                  functions: Sequence[LinearPreference],
                  ) -> Tuple[Dict[str, float], PairSet]:
     """One timed matching: its metrics and its pair set."""
-    engine = MatchingEngine(config)
     if config.shards > 1:
-        # Sharded execution only exists on the plan/engine path; measure
-        # the end-to-end match() wall and its merged I/O.
+        # Sharded execution only exists on the plan path; measure the
+        # end-to-end prepare + run wall and its merged I/O, then release
+        # the worker pool outside the timed span.
+        plan = MatchingPlan(config)
         start = time.perf_counter()
-        result = engine.match(objects, functions)
-        elapsed = time.perf_counter() - start
+        with plan.prepare(objects) as prepared:
+            result = prepared.run(functions)
+            elapsed = time.perf_counter() - start
         return {
             "cpu_seconds": elapsed,
             "io_accesses": float(result.io_accesses),
@@ -167,8 +169,10 @@ def _timed_match(config: MatchingConfig, objects: Dataset,
                 result.stats.get("shards_used", config.shards)
             ),
         }, frozenset(result.as_set())
-    problem = engine.build_problem(objects, functions)
-    matcher = engine.create_matcher(problem)
+    problem = get_backend(config.backend).build_problem(
+        objects, functions, config
+    )
+    matcher = create_matcher(config.algorithm, problem, config)
     # The paper's protocol: counters reset and buffer emptied after
     # staging, so the numbers cover one matching, not index building.
     problem.reset_io()
@@ -238,15 +242,16 @@ def _run_serving_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
     if not bool(spec.axes["cache"]):
         config = config.replace(cache_size=0)
 
-    # Cold: a fresh engine per request pays staging every time; the
+    # Cold: a fresh prepare per request pays staging every time; the
     # fastest request is kept.
     cold_seconds = float("inf")
     cold_results: List[MatchResult] = []
     for functions in workloads:
-        engine = MatchingEngine(config)
+        plan = MatchingPlan(config)
         start = time.perf_counter()
-        cold_results.append(engine.match(objects, functions))
-        cold_seconds = min(cold_seconds, time.perf_counter() - start)
+        with plan.prepare(objects) as prepared:
+            cold_results.append(prepared.run(functions))
+            cold_seconds = min(cold_seconds, time.perf_counter() - start)
 
     # Warm: one prepared object set; each workload once as a miss,
     # then again as a (cache) hit.
@@ -379,8 +384,9 @@ def _run_dynamic_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
 
     # Incremental path, recompute fallback disabled: the repair
     # machinery must absorb every event itself.
-    engine = MatchingEngine(config.replace(repair_threshold=1e9))
-    session = engine.open_session(objects, functions)
+    session = MatchingPlan(
+        config.replace(repair_threshold=1e9)
+    ).open_session(objects, functions)
     io_before = session.io_snapshot().io_accesses
     start = time.perf_counter()
     for event in events:
@@ -478,16 +484,16 @@ def _run_net_cell(spec: CellSpec, ctx: MatrixContext) -> CellResult:
         seed=workload.seed,
         functions_per_request=workload.functions_per_request,
     )
-    engine = MatchingEngine(BENCH_CONFIGS["SB"].replace(
+    with MatchingPlan(BENCH_CONFIGS["SB"].replace(
         backend="memory", deletion_mode="filter",
-    ))
-    identity = all(
-        frozenset(engine.match(objects, functions).as_set())
-        == ctx.reference_pairs(objects, functions)
-        for functions in _request_workloads(
-            spec, ctx, min(workload.identity_sample, point.n_requests)
+    )).prepare(objects) as prepared:
+        identity = all(
+            frozenset(prepared.run(functions).as_set())
+            == ctx.reference_pairs(objects, functions)
+            for functions in _request_workloads(
+                spec, ctx, min(workload.identity_sample, point.n_requests)
+            )
         )
-    )
     metrics = {
         "inproc_rps": point.inproc_rps,
         "net_rps": point.net_rps,

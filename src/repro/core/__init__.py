@@ -8,14 +8,10 @@ from .analysis import (
 )
 from .base import Matcher
 from .brute_force import BruteForceMatcher
-from .capacity import (
-    CapacitatedMatching,
-    expand_capacities,
-    match_with_capacities,
-)
+from .capacity import expand_capacities
 from .chain import ChainMatcher
 from .generic import GenericSkylineMatcher, greedy_monotone_reference
-from .trace import RoundTrace, TraceRecorder
+from .trace import RoundRecorder, RoundTrace
 from .gale_shapley import (
     GaleShapleyMatcher,
     gale_shapley,
@@ -37,13 +33,11 @@ __all__ = [
     "assignment_ranks",
     "score_regrets",
     "summarize",
-    "CapacitatedMatching",
     "expand_capacities",
-    "match_with_capacities",
     "GenericSkylineMatcher",
     "greedy_monotone_reference",
+    "RoundRecorder",
     "RoundTrace",
-    "TraceRecorder",
     "Matcher",
     "BruteForceMatcher",
     "ChainMatcher",

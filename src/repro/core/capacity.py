@@ -12,55 +12,21 @@ the expanded 1-1 matching, because a unit of capacity is free exactly
 when a virtual copy is unmatched. The skyline machinery handles the
 duplicates natively (one copy is a skyline member, the rest sit in its
 pruned list and resurface as units sell out).
+
+``repro.match(objects, functions, capacities=...)`` runs the whole
+reduction and returns a capacitated
+:class:`~repro.engine.result.MatchResult`; this module keeps only the
+expansion step it stages with.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
 from ..data import Dataset
 from ..errors import MatchingError
-from ..prefs import LinearPreference
-from .problem import MatchingProblem
-from .result import Matching, MatchPair
-from .skyline_matching import SkylineMatcher
-
-
-class CapacitatedMatching:
-    """Result of a capacitated run: pairs reference *original* object ids."""
-
-    def __init__(self, pairs: Sequence[MatchPair],
-                 unmatched_functions: Sequence[int],
-                 capacities: Mapping[int, int],
-                 algorithm: str = "") -> None:
-        self.pairs = list(pairs)
-        self.unmatched_functions = list(unmatched_functions)
-        self.algorithm = algorithm
-        self.by_function: Dict[int, MatchPair] = {}
-        self.usage: Dict[int, int] = {object_id: 0 for object_id in capacities}
-        for pair in self.pairs:
-            if pair.function_id in self.by_function:
-                raise MatchingError(
-                    f"function {pair.function_id} assigned more than once"
-                )
-            self.by_function[pair.function_id] = pair
-            self.usage[pair.object_id] += 1
-            if self.usage[pair.object_id] > capacities[pair.object_id]:
-                raise MatchingError(
-                    f"object {pair.object_id} over capacity"
-                )
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def assignments_of(self, object_id: int) -> List[int]:
-        """Function ids served by one object."""
-        return [
-            pair.function_id for pair in self.pairs
-            if pair.object_id == object_id
-        ]
 
 
 def expand_capacities(objects: Dataset,
@@ -93,38 +59,3 @@ def expand_capacities(objects: Dataset,
     )
     return expanded, virtual_owner
 
-
-def match_with_capacities(
-    objects: Dataset,
-    functions: Sequence[LinearPreference],
-    capacities: Mapping[int, int],
-    matcher_factory: Callable[[MatchingProblem], object] = SkylineMatcher,
-    **build_kwargs,
-) -> CapacitatedMatching:
-    """Stable many-to-one matching via virtual-object expansion.
-
-    ``capacities`` maps every object id to a non-negative unit count
-    (missing ids default to 1; zero removes the object from sale).
-    """
-    expanded, virtual_owner = expand_capacities(objects, capacities)
-    problem = MatchingProblem.build(expanded, functions, **build_kwargs)
-    matcher = matcher_factory(problem)
-    matching: Matching = matcher.run()
-    full_capacities = {
-        object_id: int(capacities.get(object_id, 1))
-        for object_id, _ in objects.items()
-    }
-    folded = [
-        MatchPair(
-            pair.function_id,
-            virtual_owner[pair.object_id],
-            pair.score,
-            round=pair.round,
-            rank=pair.rank,
-        )
-        for pair in matching.pairs
-    ]
-    return CapacitatedMatching(
-        folded, matching.unmatched_functions, full_capacities,
-        algorithm=f"capacitated-{matching.algorithm}",
-    )

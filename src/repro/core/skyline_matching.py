@@ -73,6 +73,9 @@ class SkylineMatcher(Matcher):
     cache_best:
         Reuse ``o.fbest`` across rounds while it stays valid (default) or
         recompute it every round (ablation).
+    on_round:
+        Optional callback invoked with a :class:`~repro.core.RoundTrace`
+        after every loop; :class:`~repro.core.RoundRecorder` keeps them.
     """
 
     name = "skyline"

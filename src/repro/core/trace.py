@@ -3,7 +3,7 @@
 For debugging, teaching and analysis, :class:`~repro.core.SkylineMatcher`
 accepts an ``on_round`` callback invoked once per loop with a
 :class:`RoundTrace`: the skyline it matched against, the mutual pairs it
-emitted, and the cumulative query counters. :class:`TraceRecorder` is the
+emitted, and the cumulative query counters. :class:`RoundRecorder` is the
 standard callback — it stores every round and computes summary shapes
 (e.g. how skyline size evolves as objects are consumed).
 """
@@ -29,7 +29,7 @@ class RoundTrace:
         return len(self.pairs)
 
 
-class TraceRecorder:
+class RoundRecorder:
     """Collects :class:`RoundTrace` objects; usable as ``on_round``."""
 
     def __init__(self) -> None:
@@ -55,7 +55,7 @@ class TraceRecorder:
 
     def summary(self) -> str:
         if not self.rounds:
-            return "TraceRecorder(empty)"
+            return "RoundRecorder(empty)"
         sizes = self.skyline_sizes
         per_round = self.pairs_per_round
         return (

@@ -3,7 +3,7 @@
 The static pipeline answers "what is the stable matching of this
 snapshot"; this package answers it *continuously* while the snapshot
 churns. A :class:`DynamicMatcher` session (opened through
-:meth:`repro.MatchingEngine.open_session` / :func:`repro.open_session`)
+:func:`repro.open_session` or :meth:`repro.MatchingPlan.open_session`)
 consumes insert/delete/add/remove events and keeps the canonical stable
 matching valid by localized displacement chains — the matching after any
 event sequence equals a from-scratch ``repro.match()`` on the surviving

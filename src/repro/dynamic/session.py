@@ -1,11 +1,11 @@
 """The long-lived dynamic matching session.
 
 :class:`DynamicMatcher` is the workload-level API of the dynamic
-subsystem: open it once (via
-:meth:`repro.MatchingEngine.open_session` or :func:`repro.open_session`)
-and feed it a stream of ``insert_object`` / ``delete_object`` /
-``add_function`` / ``remove_function`` events; it keeps the canonical
-stable matching valid at every read.
+subsystem: open it once (via :func:`repro.open_session` or
+:meth:`repro.MatchingPlan.open_session`) and feed it a stream of
+``insert_object`` / ``delete_object`` / ``add_function`` /
+``remove_function`` events; it keeps the canonical stable matching
+valid at every read.
 
 Events are validated eagerly, staged in an :class:`~repro.dynamic.events.EventLog`,
 and applied in batches of ``config.batch_size`` (1 = immediately).
@@ -76,7 +76,7 @@ class SessionCheckpoint:
 class DynamicMatcher(EventSubmitter):
     """A streaming matching session with incremental repair.
 
-    Construct through the engine facade::
+    Construct through :func:`repro.open_session`::
 
         session = repro.open_session(objects, prefs, backend="memory")
         session.insert_object(9001, (0.7, 0.4, 0.9))

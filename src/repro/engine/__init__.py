@@ -1,21 +1,24 @@
-"""Unified matching engine: one facade over algorithms and storage.
+"""Unified matching engine: one pipeline over algorithms and storage.
 
 The package ties the library's pieces behind a single coherent API:
 
 * :class:`MatchingConfig` — every tunable of a run in one dataclass;
 * the **algorithm registry** (:func:`register_matcher`,
-  :func:`available_algorithms`) with SB, Brute Force, Chain,
-  Gale-Shapley, and the monotone generic-SB pre-registered;
+  :func:`available_algorithms`, :func:`create_matcher`) with SB, Brute
+  Force, Chain, Gale-Shapley, and the monotone generic-SB
+  pre-registered;
 * **pluggable storage backends** (:func:`register_backend`,
-  :func:`available_backends`): the paper's simulated disk stack and a
-  zero-I/O in-memory backend for serving workloads;
-* :class:`MatchingEngine` and the one-shot :func:`match`, returning a
-  unified :class:`MatchResult` for both 1-1 and capacitated runs;
-* the **serving path** (:func:`plan` → :class:`MatchingPlan` →
+  :func:`available_backends`, :func:`get_backend`): the paper's
+  simulated disk stack and a zero-I/O in-memory backend for serving
+  workloads;
+* the **pipeline** (:func:`plan` → :class:`MatchingPlan` →
   :class:`PreparedMatching`, fronted by :class:`MatchingService`):
   compile a config once, stage an object set once, then answer repeated
   preference workloads against warm state with a keyed LRU result
-  cache and a persistent shard worker pool.
+  cache and a persistent shard worker pool;
+* the one-shot :func:`match` and :func:`open_session`, which compile a
+  plan and run through it, returning a unified :class:`MatchResult` for
+  both 1-1 and capacitated runs.
 """
 
 from .backends import (
@@ -29,7 +32,7 @@ from .backends import (
 )
 from .cache import ResultCache, config_fingerprint, prefs_digest
 from .config import MatchingConfig
-from .facade import MatchingEngine, match, open_session
+from .facade import match, open_session
 # MatchingPlan/PreparedMatching are re-exported here; the plan()
 # factory deliberately is NOT (import it as repro.plan or from
 # repro.engine.plan) — re-binding it here would shadow the
@@ -61,7 +64,6 @@ __all__ = [
     "register_backend",
     "AsyncMatchingService",
     "MatchingConfig",
-    "MatchingEngine",
     "MatchingPlan",
     "MatchingRequest",
     "MatchingService",

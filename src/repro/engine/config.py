@@ -1,8 +1,8 @@
 """Engine configuration: one dataclass for every tunable of a run.
 
-:class:`MatchingConfig` captures everything the
-:class:`~repro.engine.facade.MatchingEngine` needs to turn a workload
-into a matching: algorithm choice, storage backend, page size, buffer
+:class:`MatchingConfig` captures everything a
+:class:`~repro.engine.plan.MatchingPlan` needs to turn a workload into
+a matching: algorithm choice, storage backend, page size, buffer
 policy and sizing, deletion mode, per-object capacities, SB's ablation
 switches, and the seed recorded with the result. It is a frozen
 dataclass, so configs can be shared freely and derived from each other
@@ -88,8 +88,9 @@ class MatchingConfig:
         Partition the object set into this many Hilbert-order spatial
         shards and match them concurrently (see :mod:`repro.parallel`).
         ``1`` (the default) keeps the classic single-process path; any
-        larger value routes :meth:`MatchingEngine.match` through the
-        sharded layer, whose result is pair-for-pair identical.
+        larger value routes :meth:`PreparedMatching.run
+        <repro.engine.plan.PreparedMatching.run>` through the sharded
+        layer, whose result is pair-for-pair identical.
     executor:
         How shard matchings run: ``"process"`` (a
         :class:`concurrent.futures.ProcessPoolExecutor`, the true

@@ -23,9 +23,9 @@ often as its inputs change:
    (config fingerprint × objects version × preference digest; see
    :mod:`repro.engine.cache`) that dynamic-session events invalidate.
 
-:class:`~repro.engine.facade.MatchingEngine` and :func:`repro.match`
-are thin wrappers over this pipeline, so every existing entry point
-produces pair-identical results routed through the same code.
+:func:`repro.match` and :func:`repro.open_session` are thin wrappers
+over this pipeline, so every entry point produces pair-identical
+results routed through the same code.
 
 Examples
 --------
@@ -271,9 +271,9 @@ class MatchingPlan:  # lint: frozen
                      on_change=None):
         """Open a dynamic session under this plan's configuration.
 
-        Same contract as :meth:`repro.MatchingEngine.open_session` (the
-        facade delegates here): 1-1 only, single-process only, and the
-        algorithm must support incremental repair. ``on_change`` is
+        Same contract as :func:`repro.open_session` (which delegates
+        here): 1-1 only, single-process only, and the algorithm must
+        support incremental repair. ``on_change`` is
         forwarded to the session (used by
         :meth:`PreparedMatching.open_session` for cache invalidation).
         """
@@ -405,8 +405,7 @@ class PreparedMatching:
         Two staleness sources: a bound session's object churn (restage
         from the surviving objects), and a ``deletion_mode="delete"``
         matcher having consumed part of the staged tree on the previous
-        run (rebuild it, exactly like the facade's historical staged
-        cache did).
+        run (rebuild it).
         """
         if self._session is not None and self._session_dirty:
             self.objects = self._session.objects()  # flushes the session
@@ -570,7 +569,7 @@ class PreparedMatching:
         )
 
     def _run_cold(self, functions: List) -> MatchResult:
-        """One actual matching run (the facade's historical hot loop)."""
+        """One actual matching run, packaged as a :class:`MatchResult`."""
         config = self.plan.config
         problem = self._problem.with_functions(functions)
         problem.reset_io()

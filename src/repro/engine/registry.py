@@ -3,11 +3,11 @@
 Every matching algorithm — the paper's SB, both baselines, the
 reference matchers, and any user-defined one — registers under a short
 name (plus optional aliases) with the :func:`register_matcher`
-decorator. The :class:`~repro.engine.facade.MatchingEngine` resolves
-``config.algorithm`` here, and constructs the matcher with exactly the
-configuration switches its ``__init__`` accepts (signature
-intersection), so registering a new algorithm requires no engine
-changes::
+decorator. A :class:`~repro.engine.plan.MatchingPlan` resolves
+``config.algorithm`` here, and :func:`create_matcher` constructs the
+matcher with exactly the configuration switches its ``__init__``
+accepts (signature intersection), so registering a new algorithm
+requires no engine changes::
 
     @register_matcher("my-alg", aliases=("ma",))
     class MyMatcher(Matcher):

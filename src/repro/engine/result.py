@@ -1,11 +1,12 @@
 """The engine's unified result type.
 
-:class:`MatchResult` subsumes the two historical result classes:
-:class:`~repro.core.result.Matching` (1-1 runs) and
-:class:`~repro.core.capacity.CapacitatedMatching` (many-to-one runs).
-One type, one set of accessors, regardless of algorithm, backend, or
-capacity mode — plus the run's provenance (algorithm, backend, seed) and
-costs (I/O snapshot, CPU seconds), so a result is self-describing.
+:class:`MatchResult` is what every entry point returns, for 1-1 and
+many-to-one (capacitated) runs alike; :meth:`MatchResult.to_matching`
+downgrades a 1-1 result to the matchers' own
+:class:`~repro.core.result.Matching`. One type, one set of accessors,
+regardless of algorithm, backend, or capacity mode — plus the run's
+provenance (algorithm, backend, seed) and costs (I/O snapshot, CPU
+seconds), so a result is self-describing.
 """
 
 from __future__ import annotations

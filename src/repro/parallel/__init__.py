@@ -24,11 +24,13 @@ partition ``O = O_1 ∪ ... ∪ O_K``. This package exploits that:
 
 The result is pair-for-pair identical to the single-process
 ``repro.match()`` for every linear-preference algorithm and storage
-backend; only the wall clock changes. Use it through the facade::
+backend; only the wall clock changes. Use it through ``repro.match``
+or, to keep the worker pool warm across workloads, a prepared plan::
 
     result = repro.match(objects, prefs, shards=4)              # wrap sb
     result = repro.match(objects, prefs, algorithm="sharded-sb")
-    engine = repro.MatchingEngine(shards=8, executor="process")
+    with repro.plan(shards=8, executor="process").prepare(objects) as prepared:
+        result = prepared.run(prefs)
 """
 
 from .executors import (

@@ -4,8 +4,9 @@
 that wraps any canonical linear-preference algorithm (one whose matcher
 sets ``supports_repair``: sb, bf, chain, gs) and executes it as ``K``
 concurrent shard matchings followed by an exact cross-shard repair pass.
-It is registered as the ``"sharded-sb"`` algorithm and is also what the
-facade routes through whenever ``MatchingConfig.shards > 1``.
+It is registered as the ``"sharded-sb"`` algorithm and is also what
+:class:`~repro.engine.plan.PreparedMatching` runs whenever
+``MatchingConfig.shards > 1``.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class ShardedMatcher(Matcher):
     def _worker_config(self) -> MatchingConfig:
         """The config each shard worker runs under.
 
-        Capacity expansion already happened in the facade (the parent
+        Capacity expansion already happened at staging (the parent
         problem holds virtual objects), so workers must not re-expand;
         and a worker is always a single-process run.
         """
@@ -233,7 +234,7 @@ class ShardedMatcher(Matcher):
 
         Shard I/O happened on worker-private simulated disks; adding the
         snapshots into the parent problem's live counters makes the
-        facade's end-of-run snapshot the true cross-shard total. The
+        end-of-run snapshot the true cross-shard total. The
         same for CPU-side :class:`SearchStats` when the caller passed
         one (the repair pass already wrote into it directly).
         """

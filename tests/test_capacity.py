@@ -2,22 +2,18 @@
 
 import pytest
 
-from repro.core import (
-    BruteForceMatcher,
-    CapacitatedMatching,
-    MatchingProblem,
-    MatchPair,
-    match_with_capacities,
-)
+import repro
+from repro.core import MatchingProblem, MatchPair
 from repro.data import Dataset, generate_independent
+from repro.engine import MatchResult
 from repro.errors import MatchingError
-from repro.prefs import LinearPreference, generate_preferences
+from repro.prefs import generate_preferences
 
 
 def test_single_object_with_capacity_serves_many():
     objects = Dataset([[0.9, 0.9], [0.2, 0.2]])
     functions = generate_preferences(3, 2, seed=210)
-    result = match_with_capacities(objects, functions, {0: 2, 1: 1})
+    result = repro.match(objects, functions, capacities={0: 2, 1: 1})
     assert len(result) == 3
     assert sorted(result.usage.items()) == [(0, 2), (1, 1)]
     assert len(result.assignments_of(0)) == 2
@@ -27,9 +23,8 @@ def test_capacity_equals_duplicate_objects():
     # Capacity-c matching must equal the 1-1 matching over c duplicates.
     objects = Dataset([[0.8, 0.6], [0.5, 0.9], [0.3, 0.3]])
     functions = generate_preferences(5, 2, seed=211)
-    capacitated = match_with_capacities(
-        objects, functions, {0: 2, 1: 2, 2: 1}
-    )
+    capacitated = repro.match(objects, functions,
+                              capacities={0: 2, 1: 2, 2: 1})
     duplicated = Dataset(
         [[0.8, 0.6], [0.8, 0.6], [0.5, 0.9], [0.5, 0.9], [0.3, 0.3]]
     )
@@ -46,15 +41,16 @@ def test_capacity_equals_duplicate_objects():
 def test_zero_capacity_removes_object():
     objects = Dataset([[0.9, 0.9], [0.5, 0.5]])
     functions = generate_preferences(2, 2, seed=212)
-    result = match_with_capacities(objects, functions, {0: 0, 1: 5})
+    result = repro.match(objects, functions, capacities={0: 0, 1: 5})
     assert {pair.object_id for pair in result.pairs} == {1}
-    assert result.usage[0] == 0
+    assert result.usage.get(0, 0) == 0
+    assert result.capacities[0] == 0
 
 
 def test_default_capacity_is_one():
     objects = generate_independent(20, 2, seed=213)
     functions = generate_preferences(10, 2, seed=214)
-    result = match_with_capacities(objects, functions, {})
+    result = repro.match(objects, functions, capacities={})
     assert len(result) == 10
     assert all(count <= 1 for count in result.usage.values())
 
@@ -62,7 +58,7 @@ def test_default_capacity_is_one():
 def test_insufficient_capacity_leaves_functions_unmatched():
     objects = Dataset([[0.9, 0.9]])
     functions = generate_preferences(4, 2, seed=215)
-    result = match_with_capacities(objects, functions, {0: 2})
+    result = repro.match(objects, functions, capacities={0: 2})
     assert len(result) == 2
     assert len(result.unmatched_functions) == 2
 
@@ -71,17 +67,15 @@ def test_negative_capacity_rejected():
     objects = Dataset([[0.5, 0.5]])
     functions = generate_preferences(1, 2, seed=216)
     with pytest.raises(MatchingError):
-        match_with_capacities(objects, functions, {0: -1})
+        repro.match(objects, functions, capacities={0: -1})
 
 
 def test_alternative_matcher_factory():
     objects = Dataset([[0.9, 0.3], [0.4, 0.8]])
     functions = generate_preferences(3, 2, seed=217)
-    sb = match_with_capacities(objects, functions, {0: 2, 1: 1})
-    bf = match_with_capacities(
-        objects, functions, {0: 2, 1: 1},
-        matcher_factory=BruteForceMatcher,
-    )
+    sb = repro.match(objects, functions, capacities={0: 2, 1: 1})
+    bf = repro.match(objects, functions, capacities={0: 2, 1: 1},
+                     algorithm="bf")
     assert {(p.function_id, p.object_id) for p in sb.pairs} == {
         (p.function_id, p.object_id) for p in bf.pairs
     }
@@ -89,12 +83,12 @@ def test_alternative_matcher_factory():
 
 def test_capacitated_matching_validates_consistency():
     with pytest.raises(MatchingError):
-        CapacitatedMatching(
+        MatchResult(
             [MatchPair(0, 0, 0.5), MatchPair(1, 0, 0.5)],
-            [], {0: 1},
+            capacities={0: 1},
         )
     with pytest.raises(MatchingError):
-        CapacitatedMatching(
+        MatchResult(
             [MatchPair(0, 0, 0.5), MatchPair(0, 1, 0.5)],
-            [], {0: 1, 1: 1},
+            capacities={0: 1, 1: 1},
         )

@@ -3,8 +3,9 @@
 ``mkdocs build --strict`` runs in CI (the ``docs`` job); this test
 keeps the site's skeleton honest in environments without mkdocs
 installed: the config parses, every nav entry exists, every relative
-markdown link resolves, and the site actually documents all five layers
-and both subsystems.
+markdown link resolves, the site actually documents all five layers
+and both subsystems, and the Python snippets of the README and the site
+name only things the package still exports.
 """
 
 import re
@@ -96,3 +97,57 @@ def test_docs_extra_and_ci_job_exist():
     assert "mkdocs" in setup and '"docs"' in setup
     workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
     assert "mkdocs build --strict" in workflow
+
+
+
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+REPRO_CHAIN = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+FROM_IMPORT = re.compile(
+    r"^\s*from\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]+)", re.M,
+)
+
+
+def snippet_references(page):
+    """Every ``repro.<name>`` chain a page's Python blocks rely on."""
+    for block in PYTHON_BLOCK.findall(page.read_text()):
+        yield from REPRO_CHAIN.findall(block)
+        for module, names in FROM_IMPORT.findall(block):
+            names = re.sub(r"#[^\n]*", "", names).strip("()")
+            for name in names.split(","):
+                name = name.split(" as ")[0].strip()
+                if name:
+                    yield f"{module}.{name}"
+
+
+def resolves(dotted):
+    """Follow ``repro.a.b`` through attributes, importing submodules."""
+    import importlib
+
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for part in parts[1:]:
+        if not hasattr(obj, part) and hasattr(obj, "__path__"):
+            try:
+                importlib.import_module(f"{obj.__name__}.{part}")
+            except ImportError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_python_snippets_reference_only_existing_names():
+    # Doc drift: every repro.<name> chain and every name imported from a
+    # repro module in a Python code block must still exist.
+    references = [
+        (page, dotted)
+        for page in [REPO / "README.md"] + sorted(DOCS.rglob("*.md"))
+        for dotted in snippet_references(page)
+    ]
+    assert len(references) >= 40  # the snippets actually use the API
+    missing = sorted(
+        f"{page.relative_to(REPO)}: {dotted}"
+        for page, dotted in set(references) if not resolves(dotted)
+    )
+    assert not missing, missing

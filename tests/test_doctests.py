@@ -1,11 +1,12 @@
 """The public API's docstring examples, executed.
 
 The documentation satellite's enforcement test: the quickstart in
-``repro``'s module docstring, the facade and config examples, and the
-dynamic/parallel package examples are real doctests — this collects and
-runs them so the examples can never drift from the code. Each module
-must contribute at least one example (an empty collection would mean
-the documentation silently stopped being executable).
+``repro``'s module docstring, the ``match``/``plan`` and config
+examples, and the dynamic/parallel package examples are real doctests —
+this collects and runs them so the examples can never drift from the
+code. Each module must contribute at least one example (an empty
+collection would mean the documentation silently stopped being
+executable).
 """
 
 import doctest
@@ -82,11 +83,11 @@ def test_every_public_export_has_a_docstring():
 
 
 def test_facade_and_config_are_fully_documented():
-    """Each public method of the facade surface carries a docstring."""
+    """Each public method of the pipeline surface carries a docstring."""
     from repro.engine.config import MatchingConfig
-    from repro.engine.facade import MatchingEngine
+    from repro.engine.plan import MatchingPlan, PreparedMatching
 
-    for cls in (MatchingEngine, MatchingConfig):
+    for cls in (MatchingPlan, PreparedMatching, MatchingConfig):
         for name, member in vars(cls).items():
             if name.startswith("_") or not callable(member):
                 continue

@@ -1,11 +1,11 @@
 """Unit tests of the DynamicMatcher session API (validation, batching,
-lifecycle, statistics) and of engine.open_session gating."""
+lifecycle, statistics) and of open_session gating."""
 
 import pytest
 
 import repro
 from repro.dynamic import DeleteObject, DynamicMatcher, InsertObject
-from repro.engine import MatchingEngine
+from repro.engine import MatchingConfig, get_backend
 from repro.errors import (
     DimensionalityError,
     MatchingError,
@@ -174,7 +174,7 @@ def test_open_session_rejects_capacities_and_nonrepairable():
     objects = repro.generate_independent(30, 2, seed=14)
     functions = repro.generate_preferences(5, 2, seed=15)
     with pytest.raises(MatchingError):
-        MatchingEngine(capacities={0: 2}).open_session(objects, functions)
+        repro.plan(capacities={0: 2}).open_session(objects, functions)
     with pytest.raises(MatchingError):
         repro.open_session(objects, functions, algorithm="generic-sb")
 
@@ -182,10 +182,10 @@ def test_open_session_rejects_capacities_and_nonrepairable():
 def test_session_requires_filter_deletion_mode():
     objects = repro.generate_independent(30, 2, seed=16)
     functions = repro.generate_preferences(5, 2, seed=17)
-    engine = MatchingEngine(backend="memory")
-    problem = engine.build_problem(objects, functions)
+    config = MatchingConfig(backend="memory")
+    problem = get_backend("memory").build_problem(objects, functions, config)
     with pytest.raises(SessionError):
-        DynamicMatcher(problem, engine.config)  # deletion_mode="delete"
+        DynamicMatcher(problem, config)  # deletion_mode="delete"
 
 
 def test_dynamic_config_knobs_validated():

@@ -1,19 +1,24 @@
-"""The unified engine facade: config, registry, and repro.match()."""
+"""The engine's front door: config, registry, and repro.match()."""
 
 import pytest
 
 import repro
 from repro import (
+    Dataset,
     MatchingConfig,
-    MatchingEngine,
     MatchingProblem,
     SkylineMatcher,
     available_algorithms,
     available_backends,
     register_matcher,
 )
-from repro.core import Matcher, TraceRecorder, match_with_capacities
-from repro.engine import algorithm_aliases, unregister_matcher
+from repro.core import Matcher, RoundRecorder
+from repro.engine import (
+    algorithm_aliases,
+    create_matcher,
+    get_backend,
+    unregister_matcher,
+)
 from repro.errors import MatchingError
 from repro.data import generate_independent
 from repro.prefs import generate_preferences
@@ -165,15 +170,20 @@ def test_memory_backend_reports_zero_io():
 
 
 def test_match_capacitated_parity_with_legacy_api():
+    # The reference duplicates each object by hand (capacity-many
+    # copies, zero drops it) and folds the 1-1 SB matching back.
     objects = generate_independent(40, 3, seed=63)
     functions = generate_preferences(25, 3, seed=64)
     capacities = {oid: (oid % 3) for oid, _ in objects.items()}
-    legacy = match_with_capacities(objects, functions, capacities)
+    owner = [oid for oid, _ in objects.items()
+             for _ in range(capacities[oid])]
+    duplicated = Dataset([objects.vector(oid) for oid in owner])
+    flat = SkylineMatcher(MatchingProblem.build(duplicated, functions)).run()
     unified = repro.match(objects, functions, capacities=capacities)
     assert unified.is_capacitated
-    assert {(p.function_id, p.object_id) for p in legacy.pairs} == \
+    assert {(p.function_id, owner[p.object_id]) for p in flat.pairs} == \
         unified.as_set()
-    assert sorted(legacy.unmatched_functions) == \
+    assert sorted(flat.unmatched_functions) == \
         sorted(unified.unmatched_functions)
     for oid, _ in objects.items():
         assert unified.usage.get(oid, 0) <= max(1, capacities[oid])
@@ -223,14 +233,21 @@ def test_match_records_provenance_and_stats():
 
 
 # ----------------------------------------------------------------------
-# MatchingEngine object API
+# One level down: backend staging + registry matcher
 # ----------------------------------------------------------------------
+def staged_matcher(objects, functions, config, **overrides):
+    problem = get_backend(config.backend).build_problem(
+        objects, functions, config
+    )
+    return create_matcher(config.algorithm, problem, config, **overrides)
+
+
 def test_engine_create_matcher_forwards_overrides():
     objects, functions = tiny_workload(seed=67)
-    engine = MatchingEngine(algorithm="sb")
-    problem = engine.build_problem(objects, functions)
-    recorder = TraceRecorder()
-    matcher = engine.create_matcher(problem, on_round=recorder)
+    recorder = RoundRecorder()
+    matcher = staged_matcher(objects, functions,
+                             MatchingConfig(algorithm="sb"),
+                             on_round=recorder)
     matching = matcher.run()
     assert len(matching) == len(functions)
     assert len(recorder.rounds) == matcher.rounds
@@ -238,56 +255,59 @@ def test_engine_create_matcher_forwards_overrides():
 
 def test_engine_config_switches_reach_the_matcher():
     objects, functions = tiny_workload(seed=68)
-    engine = MatchingEngine(algorithm="sb", maintenance="retraversal",
+    config = MatchingConfig(algorithm="sb", maintenance="retraversal",
                             multi_pair=False, threshold="naive")
-    matcher = engine.create_matcher(
-        engine.build_problem(objects, functions)
-    )
+    matcher = staged_matcher(objects, functions, config)
     assert matcher.maintenance == "retraversal"
     assert matcher.multi_pair is False
     assert matcher.threshold == "naive"
 
 
 def test_engine_is_reusable_across_workloads():
-    engine = MatchingEngine(algorithm="sb", backend="memory")
+    plan = repro.plan(algorithm="sb", backend="memory")
     for seed in (70, 71):
         objects, functions = tiny_workload(seed=seed)
-        result = engine.match(objects, functions)
+        with plan.prepare(objects) as prepared:
+            result = prepared.run(functions)
         assert len(result) == len(functions)
 
 
 # ----------------------------------------------------------------------
-# Staged-state reuse across repeated match() calls
+# Staged-state reuse across repeated runs of one prepared object set
 # ----------------------------------------------------------------------
 def test_repeated_match_reuses_staged_problem():
     objects, functions = tiny_workload(seed=80)
-    engine = MatchingEngine(algorithm="sb", backend="disk")
-    first = engine.match(objects, functions)
-    second = engine.match(objects, functions)
-    assert engine.stagings == 1  # the dataset was indexed exactly once
+    prepared = repro.plan(algorithm="sb", backend="disk").prepare(objects)
+    first = prepared.run(functions)
+    second = prepared.run(functions)
+    assert prepared.stagings == 1  # the dataset was indexed exactly once
     assert [(p.function_id, p.object_id, p.score) for p in first.pairs] == \
            [(p.function_id, p.object_id, p.score) for p in second.pairs]
 
 
 def test_staged_reuse_rebuilds_after_destructive_matcher():
-    # Chain physically deletes assigned objects; the cached problem must
+    # Chain physically deletes assigned objects; the staged problem must
     # be rebuilt before the next run or results would silently shrink.
+    # With the result cache off, the second run truly reruns.
     objects, functions = tiny_workload(seed=81)
-    engine = MatchingEngine(algorithm="chain", backend="disk")
-    first = engine.match(objects, functions)
-    second = engine.match(objects, functions)
-    assert engine.stagings == 1
+    prepared = repro.plan(algorithm="chain", backend="disk",
+                          cache_size=0).prepare(objects)
+    first = prepared.run(functions)
+    second = prepared.run(functions)
+    assert prepared.stagings == 2  # staged once, rebuilt once
     assert [(p.function_id, p.object_id, p.score) for p in first.pairs] == \
            [(p.function_id, p.object_id, p.score) for p in second.pairs]
 
 
 def test_staged_reuse_distinguishes_workloads():
-    engine = MatchingEngine(algorithm="sb", backend="memory")
+    plan = repro.plan(algorithm="sb", backend="memory")
     objects_a, functions_a = tiny_workload(seed=82)
     objects_b, functions_b = tiny_workload(seed=83)
-    result_a = engine.match(objects_a, functions_a)
-    result_b = engine.match(objects_b, functions_b)
-    assert engine.stagings == 2
+    prepared_a = plan.prepare(objects_a)
+    prepared_b = plan.prepare(objects_b)
+    result_a = prepared_a.run(functions_a)
+    result_b = prepared_b.run(functions_b)
+    assert prepared_a.stagings == prepared_b.stagings == 1
     fresh = repro.match(objects_b, functions_b, backend="memory")
     assert [(p.function_id, p.object_id) for p in result_b.pairs] == \
            [(p.function_id, p.object_id) for p in fresh.pairs]
@@ -297,46 +317,31 @@ def test_staged_reuse_distinguishes_workloads():
 def test_staged_reuse_with_capacities_keeps_expansion():
     objects, functions = tiny_workload(n_objects=10, n_functions=8, seed=84)
     capacities = {object_id: 2 for object_id, _ in objects.items()}
-    engine = MatchingEngine(algorithm="sb", backend="memory",
-                            capacities=capacities)
-    first = engine.match(objects, functions)
-    second = engine.match(objects, functions)
-    assert engine.stagings == 1
+    prepared = repro.plan(algorithm="sb", backend="memory",
+                          capacities=capacities).prepare(objects)
+    first = prepared.run(functions)
+    second = prepared.run(functions)
+    assert prepared.stagings == 1
     assert first.capacities == second.capacities
     assert [(p.function_id, p.object_id) for p in first.pairs] == \
            [(p.function_id, p.object_id) for p in second.pairs]
 
 
 def test_staged_cache_detects_in_place_function_replacement():
-    # Regression: the engine must not serve a stale result when the
+    # Regression: prepared state must not serve a stale result when the
     # caller mutates the functions list between calls. The prepared
     # result cache keys workloads by function *content*, so the staging
     # is reused (objects unchanged) while the changed workload runs
     # fresh.
     objects, functions = tiny_workload(seed=85)
     functions = list(functions)
-    engine = MatchingEngine(algorithm="sb", backend="memory")
-    engine.match(objects, functions)
+    prepared = repro.plan(algorithm="sb", backend="memory").prepare(objects)
+    prepared.run(functions)
     replacement = repro.prefs.LinearPreference.normalized(
         999, [1.0] * objects.dims
     )
     functions[0] = replacement
-    result = engine.match(objects, functions)
-    assert engine.stagings == 1  # same objects: staged exactly once
+    result = prepared.run(functions)
+    assert prepared.stagings == 1  # same objects: staged exactly once
     matched = {pair.function_id for pair in result.pairs}
     assert 999 in matched
-
-
-def test_build_problem_always_returns_fresh_problems():
-    # Regression: the match() staging cache must not alias problems
-    # handed out by build_problem — destructive matchers would corrupt
-    # each other's trees.
-    objects, functions = tiny_workload(n_objects=60, seed=86)
-    engine = MatchingEngine(algorithm="bf", backend="disk")
-    problem_a = engine.build_problem(objects, functions)
-    problem_b = engine.build_problem(objects, functions)
-    assert problem_a is not problem_b
-    first = list(engine.create_matcher(problem_a).pairs())
-    second = list(engine.create_matcher(problem_b).pairs())
-    assert [(p.function_id, p.object_id, p.score) for p in first] == \
-           [(p.function_id, p.object_id, p.score) for p in second]

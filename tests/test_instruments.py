@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.matrix import config_from_dict, run_matrix
-from repro.engine import MatchingEngine
+from repro.engine import DiskBackend
 from repro.skyline import compute_skyline
 
 
@@ -49,7 +49,7 @@ def test_measurement_starts_cold(cells, monkeypatch):
     # Warm each staged problem's buffer and counters with a full
     # skyline pass: the cell must reset both before the timed run, so
     # its counters still equal those of an unwarmed run.
-    build_problem = MatchingEngine.build_problem
+    build_problem = DiskBackend.build_problem
 
     def warmed(self, *args, **kwargs):
         problem = build_problem(self, *args, **kwargs)
@@ -57,7 +57,7 @@ def test_measurement_starts_cold(cells, monkeypatch):
         assert problem.io_stats.page_reads > 0
         return problem
 
-    monkeypatch.setattr(MatchingEngine, "build_problem", warmed)
+    monkeypatch.setattr(DiskBackend, "build_problem", warmed)
     (cell,) = run_matrix(match_grid(("SB",))).cells
     for metric in ("page_reads", "io_accesses", "buffer_hits"):
         assert cell.metrics[metric] == cells["SB"][metric], metric

@@ -1,13 +1,20 @@
-"""The sharded parallel layer: partitioning, executors, facade plumbing."""
+"""The sharded parallel layer: partitioning, executors, plan plumbing."""
+
+import gc
+import multiprocessing
+import threading
+import warnings
 
 import pytest
 
 import repro
-from repro import MatchingConfig, MatchingEngine, available_executors
+from repro import MatchingConfig, available_executors
 from repro.data import generate_independent
+from repro.engine import create_matcher, get_backend
 from repro.errors import MatchingError
 from repro.parallel import (
     ShardedMatcher,
+    ShardWorkerPool,
     hilbert_ranges,
     is_sharded_algorithm,
     run_shard_tasks,
@@ -28,6 +35,11 @@ def assignments(result):
         (pair.function_id, pair.object_id, pair.score)
         for pair in result.pairs
     )
+
+
+def memory_problem(objects, functions):
+    config = MatchingConfig(backend="memory")
+    return get_backend("memory").build_problem(objects, functions, config)
 
 
 # ----------------------------------------------------------------------
@@ -136,19 +148,6 @@ def test_match_by_sharded_algorithm_name():
     assert assignments(named) == assignments(single)
 
 
-def test_engine_create_matcher_routes_to_sharded():
-    objects, functions = tiny_workload(seed=73)
-    engine = MatchingEngine(backend="memory", shards=4, executor="serial")
-    problem = engine.build_problem(objects, functions)
-    matcher = engine.create_matcher(problem)
-    assert isinstance(matcher, ShardedMatcher)
-    assert matcher.base_algorithm == "sb"
-    pairs = list(matcher.pairs())
-    single = repro.match(objects, functions, backend="memory")
-    assert sorted((p.function_id, p.object_id, p.score) for p in pairs) == \
-        assignments(single)
-
-
 def test_sharded_io_is_aggregated_across_shards():
     objects, functions = tiny_workload(seed=74)
     single = repro.match(objects, functions, algorithm="sb", backend="disk")
@@ -161,10 +160,10 @@ def test_sharded_io_is_aggregated_across_shards():
 
 def test_sharded_search_stats_are_aggregated():
     objects, functions = tiny_workload(seed=75)
-    engine = MatchingEngine(backend="memory", shards=3, executor="serial")
-    problem = engine.build_problem(objects, functions)
+    config = MatchingConfig(backend="memory", shards=3, executor="serial")
     stats = SearchStats()
-    matcher = engine.create_matcher(problem, search_stats=stats)
+    matcher = ShardedMatcher(memory_problem(objects, functions), config,
+                             base_algorithm="sb", search_stats=stats)
     assert list(matcher.pairs())
     assert stats.dominance_checks > 0
     assert stats.score_evaluations > 0
@@ -172,22 +171,54 @@ def test_sharded_search_stats_are_aggregated():
 
 def test_staged_reuse_survives_sharded_runs():
     objects, functions = tiny_workload(seed=76)
-    engine = MatchingEngine(backend="memory", shards=3, executor="serial")
-    first = engine.match(objects, functions)
-    second = engine.match(objects, functions)
+    other = generate_preferences(12, 3, seed=176)
+    with repro.plan(backend="memory", shards=3,
+                    executor="serial").prepare(objects) as prepared:
+        first = prepared.run(functions)
+        prepared.run(other)  # a true rerun, not a cache hit
+        second = prepared.run(functions)
+        assert prepared.stagings == 1  # the parent problem was reused
     assert assignments(first) == assignments(second)
-    assert engine.stagings == 1  # the parent problem was reused
 
 
-def test_sharded_create_matcher_rejects_base_overrides():
-    objects, functions = tiny_workload(seed=69)
-    engine = MatchingEngine(backend="memory", shards=2, executor="serial")
-    problem = engine.build_problem(objects, functions)
-    with pytest.raises(MatchingError, match="not supported with sharded"):
-        engine.create_matcher(problem, on_round=lambda *args: None)
-    # Sharding-level overrides still work.
-    matcher = engine.create_matcher(problem, executor="serial", shards=3)
-    assert matcher.shards == 3
+def test_one_shot_sharded_match_closes_its_pool(monkeypatch):
+    # repro.match owns the prepared state it builds, so it must release
+    # the worker pool before returning rather than leave it to the GC.
+    objects, functions = tiny_workload(n_objects=60, seed=69)
+    closed = []
+    close = ShardWorkerPool.close
+
+    def spy(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(ShardWorkerPool, "close", spy)
+    result = repro.match(objects, functions, backend="memory",
+                         shards=2, executor="serial")
+    assert len(closed) == 1
+    assert result.stats["shards_used"] == 2
+
+
+def test_one_shot_process_match_leaves_no_workers_behind():
+    objects, functions = tiny_workload(n_objects=60, seed=69)
+    threads_before = set(threading.enumerate())
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # whatever is reaped must be reaped by match() itself
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            repro.match(objects, functions, backend="memory",
+                        shards=2, executor="process")
+        children = multiprocessing.active_children()
+        new_threads = set(threading.enumerate()) - threads_before
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    if any("process executor unavailable" in str(warning.message)
+           for warning in caught):
+        pytest.skip("process executor unavailable on this platform")
+    assert children == []
+    assert new_threads == set()
 
 
 def test_sharded_stats_always_report_full_counter_set():
@@ -242,20 +273,18 @@ def test_sharded_match_skips_parent_bulk_load(monkeypatch):
 
 def test_engine_sharded_serving_reuses_pool_and_shard_trees():
     objects, _ = tiny_workload(seed=67)
-    engine = MatchingEngine(backend="memory", shards=3, executor="thread")
-    reference = MatchingEngine(backend="memory")
     prefs = generate_preferences(10, 3, seed=400)
-    for round_number in range(5):
-        warm = engine.match(objects, prefs)
-        assert assignments(warm) == assignments(
-            reference.match(objects, prefs)
-        )
-    prepared = engine._prepared
-    assert not prepared.parent_tree_built
-    # One cold fan-out, then four cache hits — the pool spawned at most
-    # once and the shard trees were staged exactly once.
-    assert prepared.pool.spawn_count <= 1
-    assert prepared.cache.info()["hits"] == 4
+    reference = repro.match(objects, prefs, backend="memory")
+    with repro.plan(backend="memory", shards=3,
+                    executor="thread").prepare(objects) as prepared:
+        for round_number in range(5):
+            warm = prepared.run(prefs)
+            assert assignments(warm) == assignments(reference)
+        assert not prepared.parent_tree_built
+        # One cold fan-out, then four cache hits — the pool spawned at
+        # most once and the shard trees were staged exactly once.
+        assert prepared.pool.spawn_count <= 1
+        assert prepared.cache.info()["hits"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +292,7 @@ def test_engine_sharded_serving_reuses_pool_and_shard_trees():
 # ----------------------------------------------------------------------
 def test_sharded_matcher_rejects_non_canonical_base():
     objects, functions = tiny_workload(seed=78)
-    engine = MatchingEngine(backend="memory")
-    problem = engine.build_problem(objects, functions)
+    problem = memory_problem(objects, functions)
     config = MatchingConfig(backend="memory")
     with pytest.raises(MatchingError, match="cannot run sharded"):
         ShardedMatcher(problem, config, base_algorithm="generic-sb")
@@ -276,17 +304,14 @@ def test_sharded_matcher_rejects_non_canonical_base():
 
 def test_sharded_matcher_single_shard_delegates_exactly():
     objects, functions = tiny_workload(seed=79)
-    engine = MatchingEngine(backend="memory")
-    problem = engine.build_problem(objects, functions)
+    problem = memory_problem(objects, functions)
     config = MatchingConfig(backend="memory")
     matcher = ShardedMatcher(problem, config, base_algorithm="sb", shards=1)
     sharded_pairs = [
         (p.function_id, p.object_id, p.score, p.round, p.rank)
         for p in matcher.pairs()
     ]
-    fresh = engine.build_problem(objects, functions)
-    from repro.engine import create_matcher
-
+    fresh = memory_problem(objects, functions)
     direct = [
         (p.function_id, p.object_id, p.score, p.round, p.rank)
         for p in create_matcher("sb", fresh, config).pairs()

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro import MatchingConfig, MatchingEngine
+from repro import MatchingConfig
 from repro.core import greedy_reference_matching
 from repro.data import Dataset, generate_clustered, generate_independent
 from repro.dynamic import RepairEngine
+from repro.engine import get_backend
 from repro.errors import MatchingError
 from repro.parallel import merge_shard_pairs
 from repro.prefs import generate_preferences
@@ -149,8 +150,9 @@ def test_every_algorithm_agrees_when_sharded(shards):
 def _repair_engine(objects, functions, config=None):
     config = config or MatchingConfig(backend="memory",
                                       deletion_mode="filter")
-    engine = MatchingEngine(config)
-    problem = engine.build_problem(objects, functions)
+    problem = get_backend(config.backend).build_problem(
+        objects, functions, config
+    )
     return RepairEngine(problem, config)
 
 

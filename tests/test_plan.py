@@ -167,11 +167,10 @@ def test_persistent_pool_spawns_workers_once_across_runs():
     objects, _ = tiny_workload(seed=100)
     prepared = repro.plan(backend="memory", shards=3,
                           executor="thread").prepare(objects)
-    reference_engine = repro.MatchingEngine(backend="memory")
     for round_number in range(5):
         prefs = generate_preferences(10, 3, seed=200 + round_number)
         warm = prepared.run(prefs)
-        cold = reference_engine.match(objects, prefs)
+        cold = repro.match(objects, prefs, backend="memory")
         assert assignments(warm) == assignments(cold)
         # Every workload is new, so every run truly fanned out.
         assert warm.stats["shards_used"] == 3
@@ -298,14 +297,8 @@ def test_plan_open_session_matches_facade_contract():
 
 
 # ----------------------------------------------------------------------
-# Facade-level integration
+# Front-door integration
 # ----------------------------------------------------------------------
-def test_engine_exposes_its_compiled_plan():
-    engine = repro.MatchingEngine(algorithm="skyline", backend="memory")
-    assert isinstance(engine.plan, MatchingPlan)
-    assert engine.plan.algorithm == "sb"
-
-
 def test_plan_submodule_is_not_shadowed():
     # repro.plan is the factory; repro.engine.plan stays the module.
     import repro.engine.plan
@@ -316,40 +309,24 @@ def test_plan_submodule_is_not_shadowed():
 
 def test_engine_match_stays_warm_across_workloads():
     # The prepared state depends only on the object set: a stream of
-    # different workloads through one engine reuses the staging (and
-    # the result cache serves exact repeats).
+    # different workloads through one prepared state reuses the staging
+    # (and the result cache serves exact repeats).
     objects, functions = tiny_workload(n_objects=80, seed=109)
     other = generate_preferences(12, 3, seed=700)
-    engine = repro.MatchingEngine(backend="memory")
-    first = engine.match(objects, functions)
-    engine.match(objects, other)
-    assert engine.match(objects, functions) is first  # cache, not rerun
-    with pytest.deprecated_call():
-        assert engine.stagings == 1
+    prepared = repro.plan(backend="memory").prepare(objects)
+    first = prepared.run(functions)
+    prepared.run(other)
+    assert prepared.run(functions) is first  # cache, not rerun
+    assert prepared.stagings == 1
 
 
 def test_engine_compiles_at_construction():
-    with pytest.raises(MatchingError, match="unknown algorithm"):
-        repro.MatchingEngine(algorithm="oracle")
-
-
-def test_engine_stagings_is_deprecated_but_working():
     objects, functions = tiny_workload(n_objects=50, seed=103)
-    engine = repro.MatchingEngine(backend="memory")
-    engine.match(objects, functions)
-    with pytest.deprecated_call():
-        assert engine.stagings == 1
-
-
-def test_engine_close_releases_and_allows_reuse():
-    objects, functions = tiny_workload(n_objects=60, seed=120)
-    with repro.MatchingEngine(backend="memory", shards=2,
-                              executor="serial") as engine:
-        first = engine.match(objects, functions)
-    # close() ran on exit; the engine stays usable with fresh state.
-    again = engine.match(objects, functions)
-    assert assignments(again) == assignments(first)
-    engine.close()
+    with pytest.raises(MatchingError, match="unknown algorithm"):
+        MatchingPlan(algorithm="oracle")
+    # The one-shot front door compiles before it touches any data.
+    with pytest.raises(MatchingError, match="unknown algorithm"):
+        repro.match(objects, functions, algorithm="oracle")
 
 
 def test_prepared_is_a_context_manager():

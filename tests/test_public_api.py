@@ -33,6 +33,26 @@ def test_subpackage_all_exports_resolve(module_name):
         assert getattr(module, name, None) is not None, (module_name, name)
 
 
+def test_no_exported_name_means_two_objects():
+    # A name exported by repro and by any of its subpackages must be the
+    # same object everywhere it is exported.
+    import pkgutil
+
+    modules = [repro] + [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+    ]
+    owners = {}
+    clashes = set()
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            first = owners.setdefault(name, (module.__name__, obj))
+            if first[1] is not obj:
+                clashes.add((name, first[0], module.__name__))
+    assert not clashes, sorted(clashes)
+
+
 def test_public_classes_have_docstrings():
     from repro import (
         BruteForceMatcher,

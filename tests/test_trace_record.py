@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MatchingProblem, RoundTrace, SkylineMatcher, TraceRecorder
+from repro.core import MatchingProblem, RoundRecorder, RoundTrace, SkylineMatcher
 from repro.data import generate_independent
 from repro.prefs import generate_preferences
 
@@ -11,7 +11,7 @@ def traced_run(nf=25):
     objects = generate_independent(400, 3, seed=270)
     functions = generate_preferences(nf, 3, seed=271)
     problem = MatchingProblem.build(objects, functions)
-    recorder = TraceRecorder()
+    recorder = RoundRecorder()
     matcher = SkylineMatcher(problem, on_round=recorder)
     matching = matcher.run()
     return matching, matcher, recorder
@@ -53,7 +53,7 @@ def test_trace_summary_and_empty_recorder():
     _, _, recorder = traced_run()
     text = recorder.summary()
     assert "rounds=" in text and "pairs=" in text
-    assert TraceRecorder().summary() == "TraceRecorder(empty)"
+    assert RoundRecorder().summary() == "RoundRecorder(empty)"
 
 
 def test_round_trace_is_frozen():
