@@ -56,12 +56,12 @@ def main(n_listings: int = 4000, n_buyers: int = 60,
         service.submit(workload)
     served_ms = (time.perf_counter() - start) * 1e3
 
-    stats = service.stats
-    print(f"served {int(stats['requests'])} requests in {served_ms:.1f} ms "
+    stats = service.snapshot()
+    print(f"served {stats.requests} requests in {served_ms:.1f} ms "
           f"({served_ms / n_requests:.2f} ms/request)")
-    print(f"  cache hits: {int(stats['cache_hits'])}   "
-          f"cold runs: {int(stats['cold_runs'])}   "
-          f"stagings: {int(stats['stagings'])}")
+    print(f"  cache hits: {stats.cache['hits']}   "
+          f"cold runs: {stats.cache['misses']}   "
+          f"stagings: {stats.stagings}")
 
     # Every served answer is pair-identical to a from-scratch match.
     for cohort in cohorts:

@@ -74,12 +74,10 @@ from .core import (
     Matcher,
     Matching,
     MatchingProblem,
-    MatchingReport,
     MatchPair,
     SkylineMatcher,
     find_blocking_pairs,
     greedy_reference_matching,
-    summarize,
     verify_stable_matching,
 )
 from .engine import (
@@ -108,7 +106,7 @@ from .dynamic import (
     generate_events,
 )
 
-# Importing the parallel package registers the "sharded-sb" algorithm.
+# The parallel package builds on the engine, so it imports after it.
 from .parallel import ShardedMatcher, available_executors, hilbert_ranges
 
 # The network layer sits on top of both the engine and the parallel
@@ -186,8 +184,6 @@ __all__ = [
     "Trace",
     "TraceRecorder",
     "scenario_trace",
-    "MatchingReport",
-    "summarize",
     "Matcher",
     "Matching",
     "MatchingProblem",

@@ -1,11 +1,5 @@
 """Matching algorithms: the paper's SB plus both baselines and references."""
 
-from .analysis import (
-    MatchingReport,
-    assignment_ranks,
-    score_regrets,
-    summarize,
-)
 from .base import Matcher
 from .brute_force import BruteForceMatcher
 from .capacity import expand_capacities
@@ -29,10 +23,6 @@ from .verify import (
 )
 
 __all__ = [
-    "MatchingReport",
-    "assignment_ranks",
-    "score_regrets",
-    "summarize",
     "expand_capacities",
     "GenericSkylineMatcher",
     "greedy_monotone_reference",

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..core.capacity import expand_capacities
 from ..core.problem import MatchingProblem
@@ -78,50 +78,23 @@ _SHARD_COUNTERS = (
 _STAGING_TOKENS = itertools.count(1)
 
 
-class _DeferredState:
-    """Shared lazy staging behind every :class:`_DeferredProblem` view.
-
-    Holds what a real staging would need (backend, expanded objects,
-    config) plus an inert I/O counter that stands in for the parent
-    problem's simulated disk while no parent tree exists. If anything
-    does force the tree (the degenerate sharded paths), the problem is
-    materialized once and cached here, shared by all views.
-    """
-
-    def __init__(self, backend: StorageBackend, objects: Dataset,
-                 config: MatchingConfig) -> None:
-        self.backend = backend
-        self.objects = objects
-        self.config = config
-        self.real: Optional[MatchingProblem] = None
-        # Inert: pages are never allocated; the counters exist so shard
-        # outcomes have a live sink to aggregate into.
-        self.disk = DiskManager()
-
-    def materialize(self) -> MatchingProblem:
-        if self.real is None:
-            self.real = self.backend.build_problem(
-                self.objects, [], self.config
-            )
-        return self.real
-
-
 class _DeferredProblem:
-    """A problem whose parent R-tree is never built unless demanded.
+    """The sharded path's parent problem: objects and functions, no tree.
 
     The sharded execution path reads only ``problem.objects`` and
     ``problem.functions``: shard workers bulk-load their own sub-trees,
-    and the cross-shard repair runs on a tree-less view of the shard
-    winners (see :func:`~repro.parallel.merge.cross_shard_repair`).
-    Staging the parent workload as a deferred problem therefore skips
-    the full-dataset bulk load entirely; the tree materializes
-    transparently only if some path truly needs it.
+    the cross-shard repair runs on a tree-less view of the shard
+    winners (see :func:`~repro.parallel.merge.cross_shard_repair`), and
+    an empty workload returns before any matcher runs. Staging the
+    parent workload this way skips the full-dataset bulk load.
     """
 
-    def __init__(self, state: _DeferredState,
+    def __init__(self, objects: Dataset, disk: DiskManager,
                  functions: Sequence = ()) -> None:
-        self._state = state
-        self.objects = state.objects
+        self.objects = objects
+        # Inert: pages are never allocated; the counters exist so shard
+        # outcomes have a live sink to aggregate into.
+        self._disk = disk
         self.functions = list(functions)
         for function in self.functions:
             if function.dims != self.objects.dims:
@@ -139,40 +112,20 @@ class _DeferredProblem:
         return self.objects.dims
 
     @property
-    def tree_built(self) -> bool:
-        """Whether the parent tree was ever actually bulk-loaded."""
-        return self._state.real is not None
-
-    @property
-    def tree(self):
-        return self._state.materialize().tree
-
-    @property
     def io_stats(self):
-        if self._state.real is not None:
-            return self._state.real.io_stats
-        return self._state.disk.stats
+        return self._disk.stats
 
     def reset_io(self) -> None:
-        if self._state.real is not None:
-            self._state.real.reset_io()
-        else:
-            self._state.disk.stats.reset()
+        self._disk.stats.reset()
 
     def with_functions(self, functions: Sequence) -> "_DeferredProblem":
-        """A sibling view over the same (still deferred) staging."""
-        return _DeferredProblem(self._state, functions)
-
-    def __getattr__(self, name: str):
-        # Anything beyond the deferred surface (buffer, disk, rebuild,
-        # ...) belongs to the real problem; materialize and delegate.
-        return getattr(self._state.materialize(), name)
+        """A sibling view over the same objects and I/O counters."""
+        return _DeferredProblem(self.objects, self._disk, functions)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        built = "built" if self.tree_built else "deferred"
         return (
             f"_DeferredProblem(|O|={len(self.objects)}, "
-            f"|F|={len(self.functions)}, tree={built})"
+            f"|F|={len(self.functions)})"
         )
 
 
@@ -185,7 +138,7 @@ class MatchingPlan:  # lint: frozen
 
     * the algorithm name must be registered (aliases resolve);
     * the backend name must be registered;
-    * a sharded plan's base algorithm must support displacement-chain
+    * a sharded plan's algorithm must support displacement-chain
       repair (the cross-shard merge depends on it).
 
     The plan itself holds no data and is freely shareable; call
@@ -197,8 +150,8 @@ class MatchingPlan:  # lint: frozen
     >>> plan = repro.plan(algorithm="skyline", backend="memory")
     >>> (plan.algorithm, plan.backend_name, plan.shards)
     ('sb', 'memory', 1)
-    >>> repro.plan(algorithm="sharded-sb").shards
-    4
+    >>> repro.plan(algorithm="sb", shards=4).is_sharded
+    True
     >>> repro.plan(algorithm="oracle")   # doctest: +ELLIPSIS
     Traceback (most recent call last):
         ...
@@ -230,22 +183,11 @@ class MatchingPlan:  # lint: frozen
         #: Canonical backend name.
         self.backend_name = get_backend(config.backend).name
 
-        sharded_by_name = canonical.startswith("sharded")
-        if sharded_by_name:
-            from ..parallel import DEFAULT_SHARDS
-
-            #: Resolved shard fan-out (1 = single-process).
-            self.shards = config.shards if config.shards > 1 else DEFAULT_SHARDS
-            #: The algorithm each shard runs on the sharded path.
-            self.base_algorithm = "sb"
-        else:
-            self.shards = config.shards
-            self.base_algorithm = canonical
-        if self.shards > 1 and not algorithm_supports_repair(
-            self.base_algorithm
-        ):
+        #: Shard fan-out (1 = single-process).
+        self.shards = config.shards
+        if self.shards > 1 and not algorithm_supports_repair(canonical):
             raise MatchingError(
-                f"algorithm {self.base_algorithm!r} cannot run sharded: "
+                f"algorithm {canonical!r} cannot run sharded: "
                 f"the cross-shard merge repairs with displacement "
                 f"chains, which requires a canonical linear-preference "
                 f"matcher (one whose matcher sets supports_repair)"
@@ -375,18 +317,18 @@ class PreparedMatching:
                 objects, config.capacities
             )
         self._expanded = expanded
-        backend = self.plan.backend
-        self._sharded = self.plan.is_sharded and len(expanded) > 1
+        sharded = self.plan.is_sharded and len(expanded) > 1
         self._parts: Optional[list] = None
-        if self._sharded:
+        self._problem: Union[MatchingProblem, _DeferredProblem]
+        if sharded:
             from ..parallel.partition import hilbert_shards
 
-            self._problem = _DeferredProblem(
-                _DeferredState(backend, expanded, config)
-            )
+            self._problem = _DeferredProblem(expanded, DiskManager())
             self._parts = hilbert_shards(expanded, self.plan.shards)
         else:
-            self._problem = backend.build_problem(expanded, [], config)
+            self._problem = self.plan.backend.build_problem(
+                expanded, [], config
+            )
         self._drop_worker_stagings()
         self._token = next(_STAGING_TOKENS)
         self.stagings += 1
@@ -413,8 +355,8 @@ class PreparedMatching:
             self._session_dirty = False
             return
         problem = self._problem
-        if self._sharded:
-            return  # the parent tree (if any) is never mutated
+        if isinstance(problem, _DeferredProblem):
+            return  # the sharded path has no parent tree to consume
         if problem.tree.num_objects != len(problem.objects):
             self._problem = problem.rebuild()
             self.stagings += 1
@@ -437,15 +379,12 @@ class PreparedMatching:
 
     @property
     def parent_tree_built(self) -> bool:
-        """Whether a full-dataset parent tree was ever bulk-loaded.
+        """Whether a full-dataset parent tree was bulk-loaded.
 
-        ``False`` on the warm sharded path — the ROADMAP's "skip the
-        parent-problem bulk load" — since merge/repair read only
+        ``False`` on the sharded path, whose merge/repair read only
         ``problem.objects``.
         """
-        if isinstance(self._problem, _DeferredProblem):
-            return self._problem.tree_built
-        return True
+        return not isinstance(self._problem, _DeferredProblem)
 
     def _create_matcher(self, problem,
                         search_stats: Optional[SearchStats] = None):
@@ -458,7 +397,7 @@ class PreparedMatching:
 
             return ShardedMatcher(
                 problem, config,
-                base_algorithm=self.plan.base_algorithm,
+                base_algorithm=self.plan.algorithm,
                 shards=self.plan.shards,
                 search_stats=search_stats,
                 pool=self.pool, staging_token=self._token,
@@ -525,7 +464,7 @@ class PreparedMatching:
         """Whether a workload may use the linear batch-scoring fast path.
 
         Three gates, all conservative: the plan must be non-capacitated
-        (fold-back belongs to the per-request path), the (base)
+        (fold-back belongs to the per-request path), the
         algorithm must advertise ``supports_repair`` — the documented
         marker for matchers that produce the canonical greedy matching
         over linear preferences, which is exactly what the vectorized
@@ -536,7 +475,7 @@ class PreparedMatching:
 
         if self.plan.config.capacities is not None:
             return False
-        if not algorithm_supports_repair(self.plan.base_algorithm):
+        if not algorithm_supports_repair(self.plan.algorithm):
             return False
         return is_linear_workload(functions)
 

@@ -39,8 +39,8 @@ Examples
 >>> second = service.submit(prefs)        # served from cache
 >>> second is first
 True
->>> info = service.stats
->>> (info["requests"], info["cache_hits"], info["cold_runs"])
+>>> snap = service.snapshot()
+>>> (snap.requests, snap.cache["hits"], snap.cache["misses"])
 (2, 1, 1)
 >>> other = repro.generate_preferences(n=6, dims=2, seed=43)
 >>> batch = service.submit_many(
@@ -138,7 +138,29 @@ class ServiceStats:
     )
 
     def as_dict(self) -> Dict[str, object]:
-        """The snapshot as a plain dict (JSON-friendly)."""
+        """The snapshot as a plain dict, suitable for a stats endpoint.
+
+        Every value is a plain int, float, str, ``None``, or dict of
+        ints — ``json.dumps`` round-trips it losslessly, which is the
+        contract the :mod:`repro.net` ``stats`` RPC relies on.
+
+        Examples
+        --------
+        >>> import json
+        >>> import repro
+        >>> objects = repro.generate_independent(n=80, dims=2, seed=3)
+        >>> service = repro.MatchingService(objects, backend="memory")
+        >>> _ = service.submit(
+        ...     repro.generate_preferences(n=2, dims=2, seed=4))
+        >>> snap = service.snapshot().as_dict()
+        >>> (snap["requests"], snap["misses"], snap["cache_hits"])
+        (1, 1, 0)
+        >>> sorted(key for key in snap if key.startswith("latency"))
+        ['latency_p50_ms', 'latency_p95_ms']
+        >>> json.loads(json.dumps(snap)) == snap
+        True
+        >>> service.close()
+        """
         from dataclasses import asdict
 
         return asdict(self)
@@ -170,32 +192,6 @@ class ServiceStats:
             name: getattr(self, name) - getattr(earlier, name)
             for name in self.COUNTER_FIELDS
         }
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable snapshot, suitable for a stats endpoint.
-
-        Every value is a plain int, float, str, ``None``, or dict of
-        ints — ``json.dumps`` round-trips it losslessly, which is the
-        contract the :mod:`repro.net` ``stats`` RPC relies on.
-
-        Examples
-        --------
-        >>> import json
-        >>> import repro
-        >>> objects = repro.generate_independent(n=80, dims=2, seed=3)
-        >>> service = repro.MatchingService(objects, backend="memory")
-        >>> _ = service.submit(
-        ...     repro.generate_preferences(n=2, dims=2, seed=4))
-        >>> snap = service.snapshot().to_dict()
-        >>> (snap["requests"], snap["misses"], snap["cache_hits"])
-        (1, 1, 0)
-        >>> sorted(key for key in snap if key.startswith("latency"))
-        ['latency_p50_ms', 'latency_p95_ms']
-        >>> json.loads(json.dumps(snap)) == snap
-        True
-        >>> service.close()
-        """
-        return self.as_dict()
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -499,35 +495,6 @@ class MatchingService:
                 objects_version=self.prepared.objects_version,
                 cache=cache,
             )
-
-    @property
-    def stats(self) -> Dict[str, float]:
-        """Serving counters: requests, cache hits/misses, stagings.
-
-        The historical flat dict (``cache_hits``/``cold_runs`` read the
-        LRU's own counters, as they always did), extended with the
-        batch-path counters; :meth:`snapshot` returns the richer typed
-        :class:`ServiceStats`.
-        """
-        cache = self.prepared.cache.info()
-        with self._state_cv:
-            return {
-                "requests": self.requests,
-                "batches": self.batches,
-                "cache_hits": cache["hits"],
-                "cold_runs": cache["misses"],
-                "cache_size": cache["size"],
-                "cache_evictions": cache["evictions"],
-                "duplicate_hits": self._duplicates,
-                "vectorized_requests": self._vectorized,
-                "fallback_requests": self._fallback,
-                "rejected": self._rejected,
-                "inflight": self._inflight,
-                "queue_depth": self._queued,
-                "stagings": self.prepared.stagings,
-                "objects_version": self.prepared.objects_version,
-                "serve_seconds": self.serve_seconds,
-            }
 
     # ------------------------------------------------------------------
     # Object churn

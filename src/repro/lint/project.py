@@ -517,11 +517,11 @@ class ProjectModel:
     def _link_imports(self) -> None:
         for module in self.modules.values():
             for kind, dotted in module.raw_imports:
-                dep = self._module_prefix(dotted)
+                dep = self.module_prefix(dotted)
                 if dep and dep != module.name:
                     module.deps.add(dep)
 
-    def _module_prefix(self, dotted: str) -> Optional[str]:
+    def module_prefix(self, dotted: str) -> Optional[str]:
         """The longest model module that prefixes ``dotted``."""
         parts = dotted.split(".")
         for i in range(len(parts), 0, -1):
@@ -607,7 +607,7 @@ class ProjectModel:
     ) -> Optional[Union[FunctionInfo, ClassInfo, ModuleInfo]]:
         if dotted in self.modules:
             return self.modules[dotted]
-        prefix = self._module_prefix(dotted)
+        prefix = self.module_prefix(dotted)
         if prefix is None:
             return None
         rest = dotted[len(prefix) + 1:]

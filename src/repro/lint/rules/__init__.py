@@ -65,6 +65,7 @@ from .lock_cycle import LockCycleRule
 from .lock_guard import LockGuardRule
 from .lock_order import LockOrderRule
 from .picklability import PicklabilityRule
+from .unreachable_module import UnreachableModuleRule
 from .wire_schema import WireSchemaRule
 
 for _cls in (
@@ -77,6 +78,7 @@ for _cls in (
     LockGuardRule,
     LockOrderRule,
     PicklabilityRule,
+    UnreachableModuleRule,
     WireSchemaRule,
 ):
     register_rule(_cls)
@@ -97,5 +99,6 @@ __all__ = [
     "LockGuardRule",
     "LockOrderRule",
     "PicklabilityRule",
+    "UnreachableModuleRule",
     "WireSchemaRule",
 ]

@@ -10,7 +10,9 @@ live in comments (which the AST does not carry):
   ``# lint: holds-lock=<lock>`` (lock-guard: callers hold the lock),
   ``# lint: frozen`` (frozen-mutation), ``# lint: pickled``
   (picklability), ``# lint: replay-root`` (determinism: treat this
-  module as a replay entry point), ``# lint: encodes=Type[,...]`` /
+  module as a replay entry point), ``# lint: reference``
+  (unreachable-module: this module is an oracle tests compare other
+  code against), ``# lint: encodes=Type[,...]`` /
   ``decodes=Type[,...]`` with an optional ``extra=key[,...]`` tail
   (wire-schema: this function serializes those schema classes), and
   ``# wire: key[,...]`` on a schema field line (wire-schema: the keys
@@ -42,6 +44,8 @@ _FROZEN_RE = re.compile(r"lint:\s*frozen\b")
 _PICKLED_RE = re.compile(r"lint:\s*pickled\b")
 #: ``lint: replay-root`` — determinism treats this module as a root.
 _REPLAY_ROOT_RE = re.compile(r"lint:\s*replay-root\b")
+#: ``lint: reference`` — a test oracle, kept though nothing imports it.
+_REFERENCE_RE = re.compile(r"lint:\s*reference\b")
 #: ``lint: encodes=TypeA,TypeB extra=k1,k2`` — a wire encoder.
 _ENCODES_RE = re.compile(
     r"lint:\s*encodes\s*=\s*([\w.,]+)(?:\s+extra\s*=\s*([\w.,]+))?"
@@ -150,6 +154,11 @@ def marked_pickled(comment: str) -> bool:
 def marked_replay_root(comment: str) -> bool:
     """Whether a ``lint: replay-root`` marker is present."""
     return bool(_REPLAY_ROOT_RE.search(comment))
+
+
+def marked_reference(comment: str) -> bool:
+    """Whether a ``lint: reference`` marker is present."""
+    return bool(_REFERENCE_RE.search(comment))
 
 
 def _split_names(blob: str) -> Tuple[str, ...]:

@@ -21,8 +21,8 @@ Three operations:
     codec rejections as **400**, request timeouts as **504**, drain
     rejections as **503**, anything else as **500**.
 ``stats``
-    :meth:`ServiceStats.to_dict()
-    <repro.engine.service.ServiceStats.to_dict>` of the wrapped
+    :meth:`ServiceStats.as_dict()
+    <repro.engine.service.ServiceStats.as_dict>` of the wrapped
     service — the observability endpoint.
 ``health``
     ``{"status": "ok" | "draining"}`` plus the server address.
@@ -231,7 +231,7 @@ class MatchingServer:
                 )
             elif op == "stats":
                 response = self._envelope(
-                    message_id, self.service.snapshot().to_dict()
+                    message_id, self.service.snapshot().as_dict()
                 )
             elif op == "health":
                 response = self._envelope(message_id, {

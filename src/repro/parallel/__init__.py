@@ -28,7 +28,7 @@ backend; only the wall clock changes. Use it through ``repro.match``
 or, to keep the worker pool warm across workloads, a prepared plan::
 
     result = repro.match(objects, prefs, shards=4)              # wrap sb
-    result = repro.match(objects, prefs, algorithm="sharded-sb")
+    result = repro.match(objects, prefs, algorithm="chain", shards=4)
     with repro.plan(shards=8, executor="process").prepare(objects) as prepared:
         result = prepared.run(prefs)
 """
@@ -39,14 +39,13 @@ from .executors import (
     available_executors,
     run_shard_tasks,
 )
-from .matcher import DEFAULT_SHARDS, ShardedMatcher, is_sharded_algorithm
+from .matcher import ShardedMatcher
 from .merge import cross_shard_repair, merge_shard_pairs
 from .partition import hilbert_ranges
 from .shard import ShardOutcome, ShardTask, run_shard_task
 
 __all__ = [
     "BoundedThreadPool",
-    "DEFAULT_SHARDS",
     "ShardOutcome",
     "ShardTask",
     "ShardWorkerPool",
@@ -54,7 +53,6 @@ __all__ = [
     "available_executors",
     "cross_shard_repair",
     "hilbert_ranges",
-    "is_sharded_algorithm",
     "merge_shard_pairs",
     "run_shard_task",
     "run_shard_tasks",

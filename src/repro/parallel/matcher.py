@@ -4,9 +4,9 @@
 that wraps any canonical linear-preference algorithm (one whose matcher
 sets ``supports_repair``: sb, bf, chain, gs) and executes it as ``K``
 concurrent shard matchings followed by an exact cross-shard repair pass.
-It is registered as the ``"sharded-sb"`` algorithm and is also what
-:class:`~repro.engine.plan.PreparedMatching` runs whenever
-``MatchingConfig.shards > 1``.
+It is what :class:`~repro.engine.plan.PreparedMatching` runs whenever
+``MatchingConfig.shards > 1``, and its results report
+``algorithm="sharded-<base algorithm>"``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from ..engine.registry import (
     algorithm_aliases,
     algorithm_supports_repair,
     create_matcher,
-    register_matcher,
 )
 from ..errors import MatchingError
 from ..prefs import LinearPreference
@@ -31,18 +30,6 @@ from .executors import run_shard_tasks
 from .merge import cross_shard_repair, merge_shard_pairs
 from .partition import hilbert_shards
 from .shard import ShardOutcome, ShardTask
-
-#: Shard count used when the sharded algorithm is selected by name but
-#: the config still carries the single-process default ``shards=1``.
-DEFAULT_SHARDS = 4
-
-
-def is_sharded_algorithm(name: str) -> bool:
-    """Whether ``name`` resolves to an already-sharded algorithm."""
-    normalized = name.strip().lower()
-    canonical = algorithm_aliases().get(normalized, normalized)
-    return canonical.startswith("sharded")
-
 
 class ShardedMatcher(Matcher):
     """Concurrent shard matchings merged into the exact global matching.
@@ -58,10 +45,10 @@ class ShardedMatcher(Matcher):
         ``max_workers`` drive the fan-out, everything else is inherited
         by the shard workers.
     base_algorithm:
-        The algorithm each shard runs (default ``config.algorithm``
-        when that is not itself sharded, else ``"sb"``). Must support
-        repair (:func:`~repro.engine.registry.algorithm_supports_repair`)
-        — that flag marks exactly the matchers producing the canonical
+        The algorithm each shard runs (default ``config.algorithm``).
+        Must support repair
+        (:func:`~repro.engine.registry.algorithm_supports_repair`) —
+        that flag marks exactly the matchers producing the canonical
         greedy matching over linear preferences.
     """
 
@@ -77,18 +64,12 @@ class ShardedMatcher(Matcher):
         super().__init__(problem, search_stats=search_stats)
         if base_algorithm is None:
             base_algorithm = config.algorithm
-            if is_sharded_algorithm(base_algorithm):
-                base_algorithm = "sb"
         normalized = base_algorithm.strip().lower()
         canonical = algorithm_aliases().get(normalized)
         if canonical is None:
             raise MatchingError(
                 f"unknown base algorithm {base_algorithm!r} for sharded "
                 f"matching"
-            )
-        if canonical.startswith("sharded"):
-            raise MatchingError(
-                f"base algorithm {canonical!r} is itself sharded"
             )
         if not algorithm_supports_repair(canonical):
             raise MatchingError(
@@ -106,7 +87,7 @@ class ShardedMatcher(Matcher):
         self.base_algorithm = canonical
         self.name = f"sharded-{canonical}"
         if shards is None:
-            shards = config.shards if config.shards > 1 else DEFAULT_SHARDS
+            shards = config.shards
         if shards < 1:
             raise MatchingError(f"shards must be >= 1, got {shards}")
         self.shards = shards
@@ -159,7 +140,12 @@ class ShardedMatcher(Matcher):
         functions = tuple(problem.functions)
         worker_config = self._worker_config()
 
-        if len(problem.objects) <= 1 or not functions or self.shards <= 1:
+        if not functions:
+            # Nothing to match: no shard runs, and the parent problem
+            # (deferred on the serving path) is never staged.
+            self.shards_used = 1
+            return
+        if len(problem.objects) <= 1 or self.shards <= 1:
             # Degenerate fan-out: run the base algorithm directly on the
             # parent problem, byte-for-byte the single-process path.
             matcher = create_matcher(
@@ -254,19 +240,3 @@ class ShardedMatcher(Matcher):
                 stats.heap_pushes += outcome.search.heap_pushes
                 stats.heap_pops += outcome.search.heap_pops
                 stats.comparisons += outcome.search.comparisons
-
-
-@register_matcher("sharded-sb", aliases=("ssb", "parallel-sb"))
-def _sharded_sb_factory(problem: MatchingProblem, config: MatchingConfig,
-                        search_stats: Optional[SearchStats] = None,
-                        **overrides) -> ShardedMatcher:
-    """Factory for the registered ``"sharded-sb"`` algorithm.
-
-    Runs the paper's SB per shard. With the config's single-process
-    default ``shards=1`` it still fans out to :data:`DEFAULT_SHARDS`
-    (selecting the algorithm by name *is* opting into sharding).
-    """
-    return ShardedMatcher(
-        problem, config, base_algorithm="sb",
-        search_stats=search_stats, **overrides,
-    )

@@ -3,7 +3,6 @@ loading, and branch-and-bound ranked (top-k) search."""
 
 from .entry import Entry
 from .hilbert import hilbert_bulk_load, hilbert_index, hilbert_key_for_point
-from .nn import NearestNeighborSearch, Neighbor, k_nearest, mindist, nearest
 from .node import RTreeNode
 from .serial import branch_capacity, leaf_capacity
 from .store import DiskNodeStore, MemoryNodeStore, NodeStore
@@ -16,11 +15,6 @@ __all__ = [
     "hilbert_bulk_load",
     "hilbert_index",
     "hilbert_key_for_point",
-    "NearestNeighborSearch",
-    "Neighbor",
-    "k_nearest",
-    "mindist",
-    "nearest",
     "RTreeNode",
     "branch_capacity",
     "leaf_capacity",

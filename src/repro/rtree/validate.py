@@ -6,6 +6,8 @@ suite's checker: deployments can call it after crash recovery or bulk
 imports, and it produces precise error messages instead of assertions.
 """
 
+# lint: reference — the churn and tree tests check every R-tree with it.
+
 from __future__ import annotations
 
 from typing import List

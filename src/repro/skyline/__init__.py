@@ -8,8 +8,6 @@ memory-resident references.
 
 from .bbs import bbs_loop, compute_skyline, push_entry
 from .bnl import bnl_skyline, sfs_skyline
-from .constrained import constrained_skyline, constrained_update_after_removal
-from .dnc import dnc_skyline
 from .dominance import (
     canonical_skyline_naive,
     dominance_counts,
@@ -22,7 +20,6 @@ from .maintenance import (
     update_after_insertion,
     update_after_removal,
 )
-from .skyband import compute_kskyband, kskyband_naive
 from .state import PrunedItem, SkylineState, pruned_items
 
 __all__ = [
@@ -31,9 +28,6 @@ __all__ = [
     "push_entry",
     "bnl_skyline",
     "sfs_skyline",
-    "constrained_skyline",
-    "constrained_update_after_removal",
-    "dnc_skyline",
     "canonical_skyline_naive",
     "dominance_counts",
     "dominates",
@@ -42,8 +36,6 @@ __all__ = [
     "recompute_with_pruning",
     "update_after_insertion",
     "update_after_removal",
-    "compute_kskyband",
-    "kskyband_naive",
     "PrunedItem",
     "SkylineState",
     "pruned_items",

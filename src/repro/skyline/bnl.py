@@ -9,6 +9,8 @@ than a tree.
 Both compute the *canonical* skyline (see :mod:`repro.skyline.dominance`).
 """
 
+# lint: reference — tests check BBS and the skyline kernels against it.
+
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple

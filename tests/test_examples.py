@@ -57,7 +57,7 @@ def test_parallel_matching_runs(capsys):
     module.main(n_listings=500, n_buyers=25, shards=3, executor="serial")
     out = capsys.readouterr().out
     assert "identical stable matching" in out
-    assert "sharded-sb" in out
+    assert "algorithm='sharded-sb'" in out
 
 
 def test_figure1_walkthrough_runs(capsys):

@@ -75,6 +75,15 @@ def test_seeded_deadlock_cycle_is_detected(report):
     assert "deadlock" in cycles[0].message
 
 
+def test_unreachable_module_skips_partially_analyzed_packages():
+    # Callers outside the analyzed targets are invisible, so a subtree
+    # run (its top-level package __init__ not analyzed) reports nothing.
+    report = LintEngine(root=FIXTURES).run(["unreachable_pkg/sub"])
+    assert report.files_checked == 2
+    assert not [f for f in report.findings
+                if f.rule == "unreachable-module"]
+
+
 def test_stale_suppressions_are_reported_exactly(report):
     stale = {(s.path, s.line) for s in report.stale_suppressions}
     assert stale == {

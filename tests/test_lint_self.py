@@ -24,6 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 ZERO_BASELINE_RULES = {
     "lock-guard", "async-safety", "picklability", "frozen-mutation",
     "lock-cycle", "determinism", "exception-contract", "wire-schema",
+    "unreachable-module",
 }
 
 
@@ -56,7 +57,7 @@ def test_rule_registry_is_complete():
     assert set(available_rules()) == {
         "lock-guard", "lock-order", "async-safety", "picklability",
         "frozen-mutation", "api-surface", "lock-cycle", "determinism",
-        "exception-contract", "wire-schema",
+        "exception-contract", "wire-schema", "unreachable-module",
     }
 
 

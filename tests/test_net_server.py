@@ -185,7 +185,7 @@ def test_stats_and_health_rpcs(served):
         client.submit(repro.MatchingRequest(prefs))
         snap = client.stats()
         assert snap["requests"] >= 1
-        assert set(snap) == set(service.snapshot().to_dict())
+        assert set(snap) == set(service.snapshot().as_dict())
         health = client.health()
         assert health["status"] == "ok"
 

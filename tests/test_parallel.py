@@ -16,7 +16,6 @@ from repro.parallel import (
     ShardedMatcher,
     ShardWorkerPool,
     hilbert_ranges,
-    is_sharded_algorithm,
     run_shard_tasks,
 )
 from repro.prefs import generate_preferences
@@ -106,14 +105,6 @@ def test_available_executors():
                                           "remote"}
 
 
-def test_sharded_algorithm_registered():
-    assert "sharded-sb" in repro.available_algorithms()
-    assert is_sharded_algorithm("sharded-sb")
-    assert is_sharded_algorithm("ssb")
-    assert is_sharded_algorithm("parallel-sb")
-    assert not is_sharded_algorithm("sb")
-
-
 def test_run_shard_tasks_rejects_unknown_executor():
     with pytest.raises(MatchingError, match="executor"):
         run_shard_tasks([], executor="gpu")
@@ -134,18 +125,6 @@ def test_match_with_shards_equals_single_process(executor):
     assert assignments(sharded) == assignments(single)
     assert sharded.algorithm == "sharded-sb"
     assert sharded.stats["shards_used"] == 3
-
-
-def test_match_by_sharded_algorithm_name():
-    objects, functions = tiny_workload(seed=72)
-    single = repro.match(objects, functions, backend="memory")
-    named = repro.match(
-        objects, functions, backend="memory",
-        algorithm="sharded-sb", executor="serial",
-    )
-    # Selecting the algorithm by name opts into the default fan-out.
-    assert named.stats["shards_used"] > 1
-    assert assignments(named) == assignments(single)
 
 
 def test_sharded_io_is_aggregated_across_shards():
@@ -237,8 +216,6 @@ def test_open_session_rejects_sharded_configs():
     objects, functions = tiny_workload(seed=77)
     with pytest.raises(MatchingError, match="single-process"):
         repro.open_session(objects, functions, shards=4)
-    with pytest.raises(MatchingError, match="repair"):
-        repro.open_session(objects, functions, algorithm="sharded-sb")
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +275,6 @@ def test_sharded_matcher_rejects_non_canonical_base():
         ShardedMatcher(problem, config, base_algorithm="generic-sb")
     with pytest.raises(MatchingError, match="unknown base algorithm"):
         ShardedMatcher(problem, config, base_algorithm="oracle")
-    with pytest.raises(MatchingError, match="itself sharded"):
-        ShardedMatcher(problem, config, base_algorithm="sharded-sb")
 
 
 def test_sharded_matcher_single_shard_delegates_exactly():

@@ -49,13 +49,13 @@ def test_plan_compile_rejects_unshardable_algorithm():
         repro.plan(algorithm="generic-sb", shards=4)
 
 
-def test_sharded_by_name_opts_into_default_fanout():
-    plan = repro.plan(algorithm="sharded-sb")
-    assert plan.is_sharded
-    assert plan.shards == 4
-    assert plan.base_algorithm == "sb"
-    wider = repro.plan(algorithm="sharded-sb", shards=6)
-    assert wider.shards == 6
+def test_sharding_is_a_shard_count_not_an_algorithm_name():
+    for name in ("sharded-sb", "ssb", "parallel-sb"):
+        with pytest.raises(MatchingError, match="unknown algorithm"):
+            repro.plan(algorithm=name)
+    plan = repro.plan(shards=4)
+    assert plan.is_sharded and plan.shards == 4
+    assert plan.algorithm == "sb"
 
 
 def test_fingerprint_is_stable_and_config_sensitive():
@@ -83,8 +83,6 @@ def test_prepared_run_matches_cold_match_everywhere():
     for algorithm in available_algorithms():
         for backend in available_backends():
             kwargs = dict(algorithm=algorithm, backend=backend)
-            if algorithm.startswith("sharded"):
-                kwargs["executor"] = "serial"
             cold = repro.match(objects, functions, **kwargs)
             prepared = repro.plan(**kwargs).prepare(objects)
             warm = prepared.run(functions)
@@ -155,6 +153,26 @@ def test_sharded_prepare_defers_the_parent_tree():
     single = repro.match(objects, functions, backend="memory")
     assert assignments(result) == assignments(single)
     prepared.close()
+
+
+def test_empty_workload_leaves_the_parent_tree_unbuilt():
+    objects, functions = tiny_workload(seed=96)
+    with repro.MatchingService(objects, backend="disk", shards=2,
+                               executor="serial") as service:
+        empty = service.submit([])
+        assert not service.prepared.parent_tree_built
+        assert len(empty) == 0
+        assert empty.algorithm == "sharded-sb"
+        assert empty.stats == {
+            "rounds": 0, "shards_used": 1, "merge_displaced": 0,
+            "repair_chains": 0, "repair_steals": 0, "shard_stagings": 0,
+        }
+        assert empty.io_accesses == 0
+        assert empty.unmatched_objects_count == len(objects)
+        served = service.submit(functions)
+        assert not service.prepared.parent_tree_built
+    single = repro.match(objects, functions, backend="disk")
+    assert assignments(served) == assignments(single)
 
 
 def test_single_process_prepare_builds_the_tree():

@@ -1,17 +1,11 @@
-"""Property-based tests for the auxiliary structures (Hilbert, NN,
-D&C skyline, buffer pools)."""
-
-import math
+"""Property-based tests for the auxiliary structures (Hilbert keys,
+buffer pools)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rtree import MemoryNodeStore, RTree, hilbert_index, k_nearest
-from repro.skyline import canonical_skyline_naive, dnc_skyline
+from repro.rtree import hilbert_index
 from repro.storage import BufferPool, ClockBufferPool, DiskManager, Page
-
-unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-coarse = st.integers(min_value=0, max_value=5).map(lambda v: v / 5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -27,32 +21,6 @@ def test_hilbert_index_is_injective(dims, order, data):
     assert len(set(indices)) == len(coords)
     for index in indices:
         assert 0 <= index < side ** dims
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(unit, unit), min_size=1, max_size=40),
-       st.tuples(unit, unit))
-def test_knn_equals_sorted_distances(points, query):
-    tree = RTree(MemoryNodeStore(4), dims=2)
-    for object_id, point in enumerate(points):
-        tree.insert(object_id, point)
-    got = [(oid, d) for oid, _, d in k_nearest(tree, query, len(points))]
-    want = sorted(
-        (
-            (math.dist(point, query), oid)
-            for oid, point in enumerate(points)
-        ),
-    )
-    assert [oid for oid, _ in got] == [oid for _, oid in want]
-    distances = [d for _, d in got]
-    assert distances == sorted(distances)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(coarse, coarse, coarse), max_size=50))
-def test_dnc_equals_naive_with_ties(points):
-    items = list(enumerate(points))
-    assert dnc_skyline(items) == canonical_skyline_naive(items)
 
 
 @settings(max_examples=30, deadline=None)

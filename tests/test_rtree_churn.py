@@ -4,8 +4,8 @@ A session compaction applies deletes and inserts back to back, over and
 over, for the lifetime of the tree — a very different pattern from the
 one-shot build + monotone-delete workload the static matchers exercise.
 These tests drive long interleaved schedules and assert, throughout,
-structural validity (``validate_tree``) and query correctness (``nn``
-and ``topk`` against brute force over the surviving pool).
+structural validity (``validate_tree``) and query correctness (``topk``
+against brute force over the surviving pool).
 """
 
 import random
@@ -18,7 +18,6 @@ from repro.rtree import (
     DiskNodeStore,
     MemoryNodeStore,
     RTree,
-    k_nearest,
     topk,
     validate_tree,
 )
@@ -28,16 +27,6 @@ def brute_topk(pool, weights, k):
     ranked = sorted(
         pool.items(),
         key=lambda item: (-canonical_score(weights, item[1]), item[0]),
-    )
-    return [(oid, point) for oid, point in ranked[:k]]
-
-
-def brute_nn(pool, query, k):
-    def distance(point):
-        return sum((a - b) ** 2 for a, b in zip(point, query)) ** 0.5
-
-    ranked = sorted(
-        pool.items(), key=lambda item: (distance(item[1]), item[0])
     )
     return [(oid, point) for oid, point in ranked[:k]]
 
@@ -74,9 +63,6 @@ def test_interleaved_churn_preserves_validity_and_queries(store_factory,
                     for oid, point, _ in topk(tree, function.weights, 3)
                 ]
                 assert got == brute_topk(pool, function.weights, 3)
-            query = tuple(rng.random() for _ in range(dims))
-            got = [(oid, point) for oid, point, _ in k_nearest(tree, query, 3)]
-            assert got == brute_nn(pool, query, 3)
     assert validate_tree(tree) == len(pool)
 
 

@@ -260,11 +260,11 @@ def test_service_counts_hits_and_cold_runs():
         service.submit(prefs)
         service.submit(prefs)
         service.submit(other)
-        stats = service.stats
-        assert stats["requests"] == 3
-        assert stats["cache_hits"] == 1
-        assert stats["cold_runs"] == 2
-        assert stats["stagings"] == 1
+        stats = service.snapshot()
+        assert stats.requests == 3
+        assert stats.cache["hits"] == 1
+        assert stats.cache["misses"] == 2
+        assert stats.stagings == 1
 
 
 def test_service_rejects_plan_plus_config():
@@ -284,5 +284,6 @@ def test_service_session_churn_is_served_correctly():
         after = service.submit(prefs)
         cold = repro.match(session.objects(), prefs, backend="memory")
         assert assignments(after) == assignments(cold)
-        assert service.stats["objects_version"] == 1
-        assert service.stats["stagings"] == 2
+        stats = service.snapshot()
+        assert stats.objects_version == 1
+        assert stats.stagings == 2
