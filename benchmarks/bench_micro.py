@@ -97,7 +97,7 @@ def test_micro_reverse_top1(benchmark, dataset):
     points = [point for _, point in list(dataset.items())[:200]]
 
     def run():
-        return [index.reverse_top1(point)[0] for point in points]
+        return index.reverse_top1(points)[0]
 
     assert len(benchmark(run)) == 200
 

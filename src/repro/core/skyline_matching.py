@@ -8,7 +8,8 @@ therefore (Algorithm 1 of the paper):
    R-tree entry in the pruned list of exactly one skyline member;
 2. finds the best function for each skyline object with the reverse top-1
    threshold algorithm over per-coefficient sorted lists (Section IV-A,
-   tight threshold);
+   tight threshold) — one lockstep pass per round answers every object
+   that needs it, each exactly as a scan of its own would;
 3. emits *all* mutual-best pairs at once (Section IV-C): each object's
    best function whose own best skyline object points back at it — at
    least one pair (the global maximum) is always emitted;
@@ -39,6 +40,7 @@ import numpy as np
 
 from ..errors import MatchingError
 from ..prefs import FunctionIndex, LinearPreference
+from ..prefs.index import THRESHOLDS
 from ..skyline import (
     SkylineState,
     compute_skyline,
@@ -49,6 +51,10 @@ from ..storage.stats import SearchStats
 from .base import Matcher
 from .problem import MatchingProblem
 from .result import MatchPair
+
+#: Skyline maintenance between rounds: pruned lists (Section IV-B) or
+#: the re-traversal baseline.
+MAINTENANCE_MODES = ("plist", "retraversal")
 
 #: Safety margin for the vectorized argmax shortlist; must exceed the
 #: worst-case difference between a BLAS dot product and the canonical
@@ -91,10 +97,14 @@ class SkylineMatcher(Matcher):
         super().__init__(problem, search_stats)
         #: Optional callback invoked with a RoundTrace after every loop.
         self.on_round = on_round
-        if maintenance not in ("plist", "retraversal"):
+        if maintenance not in MAINTENANCE_MODES:
             raise MatchingError(
-                f"maintenance must be 'plist' or 'retraversal', "
+                f"maintenance must be one of {MAINTENANCE_MODES}, "
                 f"got {maintenance!r}"
+            )
+        if threshold not in THRESHOLDS:
+            raise MatchingError(
+                f"threshold must be one of {THRESHOLDS}, got {threshold!r}"
             )
         self.multi_pair = multi_pair
         self.maintenance = maintenance
@@ -132,16 +142,22 @@ class SkylineMatcher(Matcher):
 
             if not self.cache_best:
                 fbest.clear()
-            for object_id, point in state.items():
-                cached = fbest.get(object_id)
-                if cached is not None and cached[1] in index:
-                    continue
-                hit = index.reverse_top1(point, stats=self.search_stats)
-                self.reverse_top1_queries += 1
-                fbest[object_id] = (hit[1], hit[0])
+            sky_ids = state.ids()
+            sky_matrix = state.matrix()
+            stale = [row for row, object_id in enumerate(sky_ids)
+                     if object_id not in fbest
+                     or fbest[object_id][1] not in index]
+            if stale:
+                fids, scores = index.reverse_top1(
+                    sky_matrix[stale], stats=self.search_stats)
+                self.reverse_top1_queries += len(stale)
+                for row, fid, score in zip(stale, fids.tolist(),
+                                           scores.tolist()):
+                    fbest[sky_ids[row]] = (score, fid)
 
             skyline_size = len(state)
-            emitted = self._mutual_pairs(index, state, fbest)
+            emitted = self._mutual_pairs(index, state, fbest, sky_ids,
+                                         sky_matrix)
             if not self.multi_pair:
                 emitted = emitted[:1]
             if not emitted:
@@ -177,11 +193,10 @@ class SkylineMatcher(Matcher):
     # ------------------------------------------------------------------
     def _mutual_pairs(self, index: FunctionIndex, state: SkylineState,
                       fbest: Dict[int, Tuple[float, int]],
+                      sky_ids: List[int], sky_matrix: np.ndarray,
                       ) -> List[Tuple[float, int, int]]:
         """All (score, fid, oid) with o.fbest = f and f.obest = o, sorted
         by the canonical (score desc, fid asc, oid asc) order."""
-        sky_ids = state.ids()
-        sky_matrix = state.matrix()
         candidate_fids = sorted({fbest[object_id][1] for object_id in sky_ids})
         emitted: List[Tuple[float, int, int]] = []
         for fid in candidate_fids:

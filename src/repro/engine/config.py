@@ -16,7 +16,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
+from ..core.skyline_matching import MAINTENANCE_MODES
 from ..errors import MatchingError
+from ..prefs.index import THRESHOLDS
 from ..storage import DEFAULT_PAGE_SIZE
 
 #: Buffer replacement policies understood by the storage layer.
@@ -172,16 +174,19 @@ class MatchingConfig:
     admission: str = "block"
 
     def __post_init__(self) -> None:
-        if self.buffer_policy not in BUFFER_POLICIES:
-            raise MatchingError(
-                f"buffer_policy must be one of {BUFFER_POLICIES}, "
-                f"got {self.buffer_policy!r}"
-            )
-        if self.deletion_mode not in DELETION_MODES:
-            raise MatchingError(
-                f"deletion_mode must be one of {DELETION_MODES}, "
-                f"got {self.deletion_mode!r}"
-            )
+        for name, allowed in (
+            ("buffer_policy", BUFFER_POLICIES),
+            ("deletion_mode", DELETION_MODES),
+            ("maintenance", MAINTENANCE_MODES),
+            ("threshold", THRESHOLDS),
+            ("executor", EXECUTORS),
+            ("admission", ADMISSION_POLICIES),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise MatchingError(
+                    f"{name} must be one of {allowed}, got {value!r}"
+                )
         if self.page_size < 128:
             raise MatchingError(
                 f"page_size must be >= 128 bytes, got {self.page_size}"
@@ -215,11 +220,6 @@ class MatchingConfig:
             raise MatchingError(
                 f"shards must be >= 1, got {self.shards}"
             )
-        if self.executor not in EXECUTORS:
-            raise MatchingError(
-                f"executor must be one of {EXECUTORS}, "
-                f"got {self.executor!r}"
-            )
         if self.max_workers is not None and self.max_workers < 1:
             raise MatchingError(
                 f"max_workers must be >= 1, got {self.max_workers}"
@@ -247,11 +247,6 @@ class MatchingConfig:
             raise MatchingError(
                 f"max_inflight must be >= 1 (or None to disable "
                 f"admission control), got {self.max_inflight}"
-            )
-        if self.admission not in ADMISSION_POLICIES:
-            raise MatchingError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {self.admission!r}"
             )
 
     def replace(self, **overrides) -> "MatchingConfig":

@@ -9,7 +9,7 @@ from .functions import (
     generate_segmented_preferences,
     weights_matrix,
 )
-from .index import FunctionIndex, ReverseHit, tight_threshold
+from .index import FunctionIndex, tight_threshold
 from .monotone import (
     CobbDouglasPreference,
     MinPreference,
@@ -32,6 +32,5 @@ __all__ = [
     "generate_segmented_preferences",
     "weights_matrix",
     "FunctionIndex",
-    "ReverseHit",
     "tight_threshold",
 ]

@@ -17,20 +17,32 @@ decreasing order of ``o``'s values, capping each share at ``l_i``:
 ``sum beta_i = 1``. Both variants are implemented; the ablation benchmark
 measures the gap.
 
+SB asks for the reverse top-1 of many objects at once: every skyline
+object whose cached best function was assigned in the last round.
+:meth:`FunctionIndex.reverse_top1` answers all of them in one lockstep TA
+pass. Which list entries a sweep passes, which functions it sees first and
+which caps it leaves depend only on the lists and the alive set, never on
+the point, so every row walks the same sweeps and rows differ only in the
+sweep at which they stop. Scores and thresholds repeat the scalar float
+operations in the scalar order (``canonical_score``, ``tight_threshold``),
+so each row gets the winner, score bits and counters of a scan of its own.
+
 Functions are removed as the matcher assigns them; removal uses tombstones
 with periodic compaction, so one removal per matching round stays cheap.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..errors import DimensionalityError, PreferenceError
 from ..storage.stats import SearchStats
-from .functions import WEIGHT_SUM_TOLERANCE, LinearPreference, canonical_score
+from .functions import WEIGHT_SUM_TOLERANCE, LinearPreference
 
-#: Result of a reverse top-1 query: (function id, score).
-ReverseHit = Tuple[int, float]
+#: The TA stop thresholds: the paper's tight bound and the naive one.
+THRESHOLDS = ("tight", "naive")
 
 #: Compact the sorted lists when dead entries exceed this fraction.
 _COMPACT_FRACTION = 0.5
@@ -58,9 +70,9 @@ class FunctionIndex:
 
     def __init__(self, functions: Sequence[LinearPreference],
                  threshold: str = "tight") -> None:
-        if threshold not in ("tight", "naive"):
+        if threshold not in THRESHOLDS:
             raise PreferenceError(
-                f"threshold must be 'tight' or 'naive', got {threshold!r}"
+                f"threshold must be one of {THRESHOLDS}, got {threshold!r}"
             )
         self.threshold = threshold
         self._functions: Dict[int, LinearPreference] = {}
@@ -132,98 +144,59 @@ class FunctionIndex:
     # ------------------------------------------------------------------
     # Reverse top-1 (threshold algorithm)
     # ------------------------------------------------------------------
-    def reverse_top1(self, point: Sequence[float],
-                     stats: Optional[SearchStats] = None) -> Optional[ReverseHit]:
-        """The best alive function for ``point`` (ties: lowest id).
-
-        Returns ``None`` when the index is empty. The TA scan stops as
-        soon as the best complete score strictly exceeds the threshold
-        (strictness preserves the lowest-id tie-break), when every alive
-        function has been seen, or when the lists are exhausted.
-        """
-        alive = self._alive
-        if not alive:
-            return None
-        if len(point) != self.dims:
-            raise DimensionalityError(self.dims, len(point), "point")
-
-        lists = self._lists
-        dims = self.dims
-        positions = [0] * dims
-        last_seen: List[Optional[float]] = [None] * dims
-        seen = set()
-        best_fid = -1
-        best_score = float("-inf")
-        # Dimensions in decreasing point-value order, for the tight bound.
-        order = sorted(range(dims), key=lambda d: -point[d])
-
-        while True:
-            progressed = False
-            for d in range(dims):
-                lst = lists[d]
-                pos = positions[d]
-                while pos < len(lst) and lst[pos][1] not in alive:
-                    pos += 1
-                if pos >= len(lst):
-                    positions[d] = pos
-                    continue
-                coefficient, fid = lst[pos]
-                positions[d] = pos + 1
-                last_seen[d] = coefficient
-                progressed = True
-                if fid not in seen:
-                    seen.add(fid)
-                    score = canonical_score(alive[fid].weights, point)
-                    if stats is not None:
-                        stats.score_evaluations += 1
-                    if score > best_score or (
-                        score == best_score and fid < best_fid
-                    ):
-                        best_score = score
-                        best_fid = fid
-            if not progressed:
-                break
-            if len(seen) >= len(alive):
-                break
-            if None not in last_seen:
-                bound = self._bound(point, last_seen, order)
-                if stats is not None:
-                    stats.comparisons += 1
-                if best_score > bound + TA_STOP_MARGIN:
-                    break
-        if best_fid < 0:
-            return None
-        return best_fid, best_score
-
-    def reverse_topk(self, point: Sequence[float], k: int,
+    def reverse_top1(self, points: Sequence[Sequence[float]],
                      stats: Optional[SearchStats] = None,
-                     ) -> List[ReverseHit]:
-        """The ``k`` best alive functions for ``point``.
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's best alive function (ties: lowest id), in one pass.
 
-        Same TA scan as :meth:`reverse_top1`, but termination requires
-        the *k-th best* complete score to beat the threshold. Results
-        are sorted by (score desc, function id asc). Fewer than ``k``
-        hits are returned when fewer functions remain.
+        ``points`` is an ``(n, dims)`` array (or a list of points).
+        Returns ``(fids, scores)``: an int64 and a float64 array of ``n``
+        entries. An empty index answers fid ``-1`` and score ``-inf`` for
+        every row.
+
+        The rows walk the lists in lockstep (see the module docstring). A
+        row stops as soon as its best complete score strictly exceeds its
+        threshold (strictness preserves the lowest-id tie-break), and all
+        rows stop when every alive function has been seen or the lists
+        are exhausted. ``stats`` counts each row's scored functions and
+        threshold tests, as one scan per row would.
         """
-        if k < 1:
-            raise PreferenceError(f"k must be >= 1, got {k}")
+        rows = np.asarray(points, dtype=np.float64)
+        if rows.ndim == 1 and not rows.size:
+            rows = rows.reshape(0, self.dims)
+        if rows.ndim != 2:
+            raise PreferenceError(
+                f"points must be an (n, dims) array, got shape {rows.shape}"
+            )
+        fids = np.full(len(rows), -1, dtype=np.int64)
+        scores = np.full(len(rows), float("-inf"))
         alive = self._alive
-        if not alive:
-            return []
-        if len(point) != self.dims:
-            raise DimensionalityError(self.dims, len(point), "point")
+        if not alive or not len(rows):
+            return fids, scores
+        if rows.shape[1] != self.dims:
+            raise DimensionalityError(self.dims, rows.shape[1], "point")
 
         lists = self._lists
         dims = self.dims
         positions = [0] * dims
         last_seen: List[Optional[float]] = [None] * dims
-        seen = set()
-        # (score, fid) of every fully-scored function; pruned lazily.
-        scored: List[Tuple[float, int]] = []
-        order = sorted(range(dims), key=lambda d: -point[d])
+        seen: Set[int] = set()
+        tight = self.threshold == "tight"
+        # One column per open row: its slot in the answer, its point, its
+        # best so far and, for the tight bound, its dimensions in
+        # decreasing value order (stable) with the values in that order.
+        slot = np.arange(len(rows))
+        cols = np.ascontiguousarray(rows.T)
+        best_fid = fids.copy()
+        best_score = scores.copy()
+        if tight:
+            order = np.argsort(-cols, axis=0, kind="stable")
+            ranked = np.take_along_axis(cols, order, axis=0)
+        evaluations = comparisons = 0
 
-        while True:
+        while len(slot):
             progressed = False
+            new: List[int] = []
             for d in range(dims):
                 lst = lists[d]
                 pos = positions[d]
@@ -238,32 +211,57 @@ class FunctionIndex:
                 progressed = True
                 if fid not in seen:
                     seen.add(fid)
-                    score = canonical_score(alive[fid].weights, point)
-                    if stats is not None:
-                        stats.score_evaluations += 1
-                    scored.append((score, fid))
-            if not progressed:
+                    new.append(fid)
+            if new:
+                new.sort()  # argmax keeps the first, lowest-id, maximum
+                weights = np.array([alive[fid].weights for fid in new])
+                sweep = np.zeros((len(new), len(slot)))
+                for d in range(dims):  # canonical_score's order
+                    sweep += weights[:, d, None] * cols[d]
+                top = sweep.argmax(axis=0)
+                top_score = sweep.max(axis=0)
+                top_fid = np.take(new, top)
+                better = (top_score > best_score) | (
+                    (top_score == best_score) & (top_fid < best_fid))
+                np.copyto(best_score, top_score, where=better)
+                np.copyto(best_fid, top_fid, where=better)
+                evaluations += len(new) * len(slot)
+            if not progressed or len(seen) >= len(alive):
                 break
-            if len(seen) >= len(alive):
-                break
-            if len(scored) >= k and None not in last_seen:
-                bound = self._bound(point, last_seen, order)
-                if stats is not None:
-                    stats.comparisons += 1
-                scored.sort(key=lambda pair: (-pair[0], pair[1]))
-                if scored[k - 1][0] > bound + TA_STOP_MARGIN:
-                    break
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [(fid, score) for score, fid in scored[:k]]
-
-    def _bound(self, point: Sequence[float], last_seen: List[float],
-               order: List[int]) -> float:
-        if self.threshold == "naive":
-            total = 0.0
-            for l, x in zip(last_seen, point):
-                total += l * x
-            return total
-        return tight_threshold(point, last_seen, order)
+            if None in last_seen:
+                continue
+            bound = np.zeros(len(slot))
+            if tight:
+                # tight_threshold's steps; once a budget is spent, the
+                # later shares are 0.0 and leave its bound unchanged (but
+                # for the sign of a zero bound, which the stop test's
+                # + TA_STOP_MARGIN cannot see).
+                budget = np.ones(len(slot))
+                for cap, x in zip(np.take(last_seen, order), ranked):
+                    share = np.minimum(cap, budget)
+                    bound += share * x
+                    budget -= share
+                bound += budget * ranked[0]
+            else:
+                for cap, x in zip(last_seen, cols):
+                    bound += cap * x
+            comparisons += len(slot)
+            bound += TA_STOP_MARGIN
+            stop = best_score > bound
+            if stop.any():
+                fids[slot[stop]] = best_fid[stop]
+                scores[slot[stop]] = best_score[stop]
+                keep = ~stop
+                slot, cols = slot[keep], cols[:, keep]
+                best_fid, best_score = best_fid[keep], best_score[keep]
+                if tight:
+                    order, ranked = order[:, keep], ranked[:, keep]
+        fids[slot] = best_fid
+        scores[slot] = best_score
+        if stats is not None:
+            stats.score_evaluations += evaluations
+            stats.comparisons += comparisons
+        return fids, scores
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -298,3 +296,4 @@ def tight_threshold(point: Sequence[float], last_seen: Sequence[float],
     # with the leftover budget on the best dimension so the bound stays
     # valid even for weights normalized within WEIGHT_SUM_TOLERANCE.
     return bound + budget * point[order[0]]
+

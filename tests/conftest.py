@@ -6,6 +6,8 @@ import pytest
 
 from repro.data import generate_independent
 from repro.geometry import MBR
+from repro.prefs import canonical_score, tight_threshold
+from repro.prefs.index import TA_STOP_MARGIN
 from repro.rtree import DiskNodeStore, RTree
 
 
@@ -50,3 +52,68 @@ def small_disk_tree():
     store = DiskNodeStore(3)
     tree = RTree.bulk_load(store, 3, dataset.items())
     return tree, dataset
+
+
+def reference_reverse_top1(index, point, stats=None):
+    """One row's reverse top-1 by the per-point TA scan.
+
+    This is the scan :meth:`repro.prefs.FunctionIndex.reverse_top1`
+    replaced with one lockstep pass over all rows: round-robin over the
+    coefficient-sorted lists, scoring each newly seen alive function
+    with :func:`canonical_score`, until the best score strictly exceeds
+    the threshold (plus ``TA_STOP_MARGIN``), every alive function has
+    been seen, or the lists run out. Returns ``(fid, score)``; an empty
+    index answers ``(-1, -inf)``.
+    """
+    alive = index._alive
+    if not alive:
+        return -1, float("-inf")
+    assert len(point) == index.dims
+    lists = index._lists
+    dims = index.dims
+    positions = [0] * dims
+    last_seen = [None] * dims
+    seen = set()
+    best_fid = -1
+    best_score = float("-inf")
+    order = sorted(range(dims), key=lambda d: -point[d])
+    while True:
+        progressed = False
+        for d in range(dims):
+            lst = lists[d]
+            pos = positions[d]
+            while pos < len(lst) and lst[pos][1] not in alive:
+                pos += 1
+            if pos >= len(lst):
+                positions[d] = pos
+                continue
+            coefficient, fid = lst[pos]
+            positions[d] = pos + 1
+            last_seen[d] = coefficient
+            progressed = True
+            if fid not in seen:
+                seen.add(fid)
+                score = canonical_score(alive[fid].weights, point)
+                if stats is not None:
+                    stats.score_evaluations += 1
+                if score > best_score or (
+                    score == best_score and fid < best_fid
+                ):
+                    best_score = score
+                    best_fid = fid
+        if not progressed:
+            break
+        if len(seen) >= len(alive):
+            break
+        if None not in last_seen:
+            if index.threshold == "naive":
+                bound = 0.0
+                for cap, x in zip(last_seen, point):
+                    bound += cap * x
+            else:
+                bound = tight_threshold(point, last_seen, order)
+            if stats is not None:
+                stats.comparisons += 1
+            if best_score > bound + TA_STOP_MARGIN:
+                break
+    return best_fid, best_score

@@ -65,6 +65,26 @@ def test_config_validation(bad):
         MatchingConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(threshold="bogus"),
+    dict(maintenance="bogus"),
+])
+def test_sb_switches_rejected_at_construction(bad):
+    """A bad SB switch fails when the config is built, not mid-request
+    (a batch of misses never reads it on the vectorized path)."""
+    objects = generate_independent(50, 2, seed=30)
+    functions = generate_preferences(3, 2, seed=31)
+    with pytest.raises(MatchingError, match="must be one of"):
+        MatchingConfig(**bad)
+    with pytest.raises(MatchingError):
+        repro.plan(algorithm="sb", backend="memory", **bad)
+    with pytest.raises(MatchingError):
+        repro.match(objects, functions, backend="memory", **bad)
+    with pytest.raises(MatchingError):
+        repro.MatchingService(objects, algorithm="sb", backend="memory",
+                              **bad)
+
+
 # ----------------------------------------------------------------------
 # Algorithm registry
 # ----------------------------------------------------------------------

@@ -21,24 +21,31 @@ def oracle_best(functions, point):
     return (-best[1], best[0])
 
 
+def answers(index, points, stats=None):
+    """``reverse_top1`` over ``points`` as a list of ``(fid, score)``."""
+    fids, scores = index.reverse_top1(points, stats=stats)
+    return list(zip(fids.tolist(), scores.tolist()))
+
+
 def test_reverse_top1_matches_oracle_many_points():
     prefs = generate_preferences(300, 4, seed=60)
     index = FunctionIndex(prefs)
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        point = tuple(rng.random(4))
-        assert index.reverse_top1(point) == oracle_best(prefs, point)
+    points = [tuple(point) for point in rng.random((100, 4)).tolist()]
+    assert answers(index, points) == [
+        oracle_best(prefs, point) for point in points
+    ]
 
 
 def test_reverse_top1_empty_index():
     index = FunctionIndex([])
-    assert index.reverse_top1(()) is None
+    assert answers(index, [(0.5, 0.5)]) == [(-1, float("-inf"))]
 
 
 def test_reverse_top1_single_function():
     f = LinearPreference(7, (0.4, 0.6))
     index = FunctionIndex([f])
-    fid, score = index.reverse_top1((0.5, 0.5))
+    [(fid, score)] = answers(index, [(0.5, 0.5)])
     assert fid == 7
     assert score == f.score((0.5, 0.5))
 
@@ -51,7 +58,7 @@ def test_tie_break_prefers_lowest_fid():
         LinearPreference(5, (0.9, 0.1)),
     ]
     index = FunctionIndex(prefs)
-    fid, _ = index.reverse_top1((0.4, 0.4))  # symmetric point: all tie? no:
+    [(fid, _)] = answers(index, [(0.4, 0.4)])
     # (0.4, 0.4) scores 0.4 for all three functions — full tie.
     assert fid == 2
 
@@ -63,7 +70,7 @@ def test_removal_updates_answers():
     rng = np.random.default_rng(2)
     for _ in range(99):
         point = tuple(rng.random(3))
-        got = index.reverse_top1(point)
+        [got] = answers(index, [point])
         assert got == oracle_best(alive.values(), point)
         index.remove(got[0])
         del alive[got[0]]
@@ -88,9 +95,10 @@ def test_compaction_preserves_correctness():
         index.remove(fid)
         del alive[fid]
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        point = tuple(rng.random(3))
-        assert index.reverse_top1(point) == oracle_best(alive.values(), point)
+    points = [tuple(point) for point in rng.random((50, 3)).tolist()]
+    assert answers(index, points) == [
+        oracle_best(alive.values(), point) for point in points
+    ]
 
 
 def test_duplicate_fids_rejected():
@@ -117,13 +125,9 @@ def test_naive_and_tight_agree_tight_is_cheaper():
     tight = FunctionIndex(prefs, threshold="tight")
     naive = FunctionIndex(prefs, threshold="naive")
     tight_stats, naive_stats = SearchStats(), SearchStats()
-    rng = np.random.default_rng(4)
-    for _ in range(60):
-        point = tuple(rng.random(5))
-        assert (
-            tight.reverse_top1(point, stats=tight_stats)
-            == naive.reverse_top1(point, stats=naive_stats)
-        )
+    points = np.random.default_rng(4).random((60, 5))
+    assert answers(tight, points, tight_stats) == answers(
+        naive, points, naive_stats)
     assert tight_stats.score_evaluations < naive_stats.score_evaluations
 
 

@@ -1,5 +1,8 @@
 """Property-based tests of the threshold algorithm and its tight bound."""
 
+import struct
+from dataclasses import asdict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,9 @@ from repro.prefs import (
     canonical_score,
     tight_threshold,
 )
+from repro.prefs.index import THRESHOLDS
+from repro.storage import SearchStats
+from tests.conftest import reference_reverse_top1
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 positive = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -33,11 +39,16 @@ def oracle(functions, point):
     return (-best[1], best[0])
 
 
+def top1(index, point):
+    fids, scores = index.reverse_top1([point])
+    return fids.tolist()[0], scores.tolist()[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(function_sets(3), st.tuples(unit, unit, unit))
 def test_reverse_top1_equals_oracle(functions, point):
     index = FunctionIndex(functions)
-    assert index.reverse_top1(point) == oracle(functions, point)
+    assert top1(index, point) == oracle(functions, point)
 
 
 @settings(max_examples=50, deadline=None)
@@ -52,7 +63,7 @@ def test_reverse_top1_with_removals(functions, point, removals):
         victim = sorted(alive)[raw % len(alive)]
         index.remove(victim)
         del alive[victim]
-        assert index.reverse_top1(point) == oracle(alive.values(), point)
+        assert top1(index, point) == oracle(alive.values(), point)
 
 
 @settings(max_examples=80, deadline=None)
@@ -60,7 +71,7 @@ def test_reverse_top1_with_removals(functions, point, removals):
 def test_naive_and_tight_thresholds_agree(functions, point):
     tight = FunctionIndex(functions, threshold="tight")
     naive = FunctionIndex(functions, threshold="naive")
-    assert tight.reverse_top1(point) == naive.reverse_top1(point)
+    assert top1(tight, point) == top1(naive, point)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,3 +97,55 @@ def test_tight_threshold_never_looser_than_naive_when_feasible(point, caps):
         return  # infeasible regime: the tight bound pads, naive may be lower
     naive = sum(c * p for c, p in zip(caps, point))
     assert tight_threshold(point, caps) <= naive + 1e-12
+
+
+@st.composite
+def lockstep_cases(draw):
+    """An index (threshold, functions, removals) and rows to ask it.
+
+    Half the cases are tie-heavy: integer weight grids and points on
+    ``{0, 0.5, 1}``. A third of the removals cross compaction (at least
+    32 dead and more than half of the functions).
+    """
+    dims = draw(st.integers(min_value=1, max_value=5))
+    grid = draw(st.booleans())
+    compacting = draw(st.integers(min_value=0, max_value=2)) == 0
+    count = draw(st.integers(min_value=64 if compacting else 1,
+                             max_value=80 if compacting else 40))
+    if grid:
+        weight = st.integers(min_value=0, max_value=3).map(float)
+        value = st.sampled_from([0.0, 0.5, 1.0])
+    else:
+        weight, value = positive, unit
+    raw = draw(st.lists(
+        st.tuples(*([weight] * dims)).filter(lambda row: sum(row) > 0),
+        min_size=count, max_size=count))
+    functions = [LinearPreference.normalized(fid, row)
+                 for fid, row in enumerate(raw)]
+    removals = draw(st.permutations(range(count)))
+    removed = draw(st.integers(
+        min_value=max(32, count // 2 + 1) if compacting else 0,
+        max_value=count - 1))
+    rows = draw(st.lists(st.tuples(*([value] * dims)), max_size=12))
+    threshold = draw(st.sampled_from(THRESHOLDS))
+    return threshold, functions, removals[:removed], rows
+
+
+def bits(answers):
+    return [(fid, struct.pack("<d", score)) for fid, score in answers]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lockstep_cases())
+def test_lockstep_rows_equal_per_point_scans(case):
+    """Every row of one pass gets the per-point scan's function, score
+    bits, ``score_evaluations`` and ``comparisons``."""
+    threshold, functions, removals, rows = case
+    index = FunctionIndex(functions, threshold=threshold)
+    for fid in removals:
+        index.remove(fid)
+    got_stats, want_stats = SearchStats(), SearchStats()
+    fids, scores = index.reverse_top1(rows, stats=got_stats)
+    want = [reference_reverse_top1(index, row, want_stats) for row in rows]
+    assert bits(zip(fids.tolist(), scores.tolist())) == bits(want)
+    assert asdict(got_stats) == asdict(want_stats)

@@ -106,6 +106,12 @@ def test_invalid_maintenance_mode():
         SkylineMatcher(problem, maintenance="rebuild")
 
 
+def test_invalid_threshold_mode():
+    problem = make_problem(n=10, nf=2)
+    with pytest.raises(MatchingError):
+        SkylineMatcher(problem, threshold="loose")
+
+
 def test_more_functions_than_objects():
     objects = generate_independent(12, 3, seed=147)
     functions = generate_preferences(30, 3, seed=148)
