@@ -107,12 +107,11 @@ from .dynamic import (
 )
 
 # The parallel package builds on the engine, so it imports after it.
-from .parallel import ShardedMatcher, available_executors, hilbert_ranges
+from .parallel import ShardedMatcher, available_executors
 
 # The network layer sits on top of both the engine and the parallel
 # package, so it imports last.
 from .net import (
-    AsyncMatchingClient,
     MatchingClient,
     MatchingServer,
     RemoteExecutor,
@@ -173,10 +172,8 @@ __all__ = [
     "generate_events",
     "ShardedMatcher",
     "available_executors",
-    "hilbert_ranges",
     "MatchingServer",
     "MatchingClient",
-    "AsyncMatchingClient",
     "ShardWorkerServer",
     "RemoteExecutor",
     "ReplayDriver",

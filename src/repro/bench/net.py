@@ -137,12 +137,13 @@ def spawn_listening(argv: Sequence[str],
 
 
 def _stop(process: subprocess.Popen) -> None:
-    process.terminate()
-    try:
-        process.wait(timeout=10)
-    except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
-        process.kill()
-        process.wait(timeout=10)
+    # Leaving the block closes the stdout/stderr pipes and reaps.
+    with process:
+        process.terminate()
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
+            process.kill()
 
 
 # ----------------------------------------------------------------------

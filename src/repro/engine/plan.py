@@ -56,7 +56,6 @@ from ..core.result import MatchPair
 from ..data import Dataset
 from ..errors import MatchingError
 from ..storage import DiskManager
-from ..storage.stats import SearchStats
 from .backends import StorageBackend, get_backend
 from .cache import ResultCache, config_fingerprint, prefs_digest
 from .config import MatchingConfig
@@ -386,8 +385,7 @@ class PreparedMatching:
         """
         return not isinstance(self._problem, _DeferredProblem)
 
-    def _create_matcher(self, problem,
-                        search_stats: Optional[SearchStats] = None):
+    def _create_matcher(self, problem):
         config = self.plan.config
         if self.plan.is_sharded:
             # Even degenerate workloads (one object, no functions) route
@@ -396,17 +394,10 @@ class PreparedMatching:
             from ..parallel import ShardedMatcher
 
             return ShardedMatcher(
-                problem, config,
-                base_algorithm=self.plan.algorithm,
-                shards=self.plan.shards,
-                search_stats=search_stats,
-                pool=self.pool, staging_token=self._token,
-                parts=self._parts,
+                problem, config, self.plan.algorithm, pool=self.pool,
+                parts=self._parts, staging_token=self._token,
             )
-        return create_matcher(
-            self.plan.algorithm, problem, config,
-            search_stats=search_stats,
-        )
+        return create_matcher(self.plan.algorithm, problem, config)
 
     def run(self, functions: Sequence) -> MatchResult:
         """Serve one preference workload against the warm state.

@@ -7,7 +7,7 @@ Two protocols share one length-prefixed framing (:mod:`repro.net.frames`):
   :class:`~repro.engine.result.MatchResult` mirrors
   (:mod:`repro.net.codec`), spoken by :class:`MatchingServer` (a socket
   front-end over :class:`~repro.engine.async_service.AsyncMatchingService`)
-  and the sync/async clients; and
+  and :class:`MatchingClient`; and
 - the **shard-worker protocol** — pickle frames carrying
   :class:`~repro.parallel.ShardTask` / outcome values, spoken by
   :class:`ShardWorkerServer` and :class:`RemoteExecutor`, which plugs
@@ -15,13 +15,17 @@ Two protocols share one length-prefixed framing (:mod:`repro.net.frames`):
   trusted-cluster only; the JSON front door is the untrusted-facing
   surface.
 
+Both servers are one :class:`~repro.net.frames.FrameServer`: one
+connection loop, one graceful drain, one command-line runner; each
+answers its own protocol's frames.
+
 Everything is standard-library (``asyncio`` streams + ``socket``), so
 the serving stack deploys anywhere the library imports.
 """
 
 from __future__ import annotations
 
-from .client import AsyncMatchingClient, MatchingClient
+from .client import MatchingClient
 from .codec import (decode_request, decode_result, encode_request,
                     encode_result)
 from .frames import (DEFAULT_BACKOFF_SECONDS, DEFAULT_CONNECT_ATTEMPTS,
@@ -35,7 +39,6 @@ __all__ = [
     "MatchingServer",
     "ServerThread",
     "MatchingClient",
-    "AsyncMatchingClient",
     # Shard-worker protocol
     "ShardWorkerServer",
     "RemoteExecutor",

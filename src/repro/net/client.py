@@ -1,25 +1,20 @@
-"""Network clients: the remote face of ``service.submit``.
+"""The network client: the remote face of ``service.submit``.
 
-Two clients over the same wire protocol, mirroring the in-process
-serving API:
+:class:`MatchingClient` mirrors the in-process serving API for
+scripts, benchmarks, and thread-based callers, over one blocking socket
+per client. :meth:`MatchingClient.submit_many` pipelines a whole batch
+over the single connection: every request frame goes out in one write
+before any response is read, so the server reads the burst at once and
+answers it with one vectorized ``submit_many`` pass. An asyncio caller
+runs the client in a thread, or skips the socket and awaits an
+in-process :class:`~repro.engine.async_service.AsyncMatchingService`.
 
-:class:`MatchingClient`
-    Synchronous, for scripts, benchmarks, and thread-based callers.
-    One blocking socket per client; :meth:`MatchingClient.submit_many`
-    pipelines a whole batch over the single connection: every request
-    frame goes out in one write before any response is read, so the
-    server reads the burst at once and answers it with one vectorized
-    ``submit_many`` pass.
-:class:`AsyncMatchingClient`
-    The same surface for asyncio callers, over an
-    :class:`asyncio.StreamReader`/``Writer`` pair.
-
-Both connect lazily with bounded exponential-backoff retries
+The client connects lazily with bounded exponential-backoff retries
 (:class:`~repro.errors.ConnectionRetriesExceededError` carries the
 attempt count and the last socket error when the budget is spent), and
-both convert error frames back into typed exceptions: a 429 frame
-raises the same :class:`~repro.errors.ServiceOverloadedError` an
-in-process caller would see, a codec rejection raises
+converts error frames back into typed exceptions: a 429 frame raises
+the same :class:`~repro.errors.ServiceOverloadedError` an in-process
+caller would see, a codec rejection raises
 :class:`~repro.errors.CodecError`, anything else raises
 :class:`~repro.errors.RemoteError` with the server's status code.
 
@@ -49,14 +44,11 @@ from .frames import (
     DEFAULT_BACKOFF_SECONDS,
     DEFAULT_CONNECT_ATTEMPTS,
     connect_with_retry,
-    read_frame_async,
     recv_frame,
     send_frame,
-    start_closing,
-    write_frame_async,
 )
 
-__all__ = ["MatchingClient", "AsyncMatchingClient"]
+__all__ = ["MatchingClient"]
 
 
 def raise_error_frame(error: Dict[str, Any]) -> None:
@@ -232,153 +224,3 @@ class MatchingClient:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "connected" if self._sock is not None else "idle"
         return f"MatchingClient({self.host}:{self.port}, {state})"
-
-
-class AsyncMatchingClient:
-    """The asyncio twin of :class:`MatchingClient`.
-
-    Same surface (``submit`` / ``submit_many`` / ``stats`` /
-    ``health``), same retry and error conversion, over asyncio streams.
-    Calls are serialized on an internal lock; to exploit server-side
-    coalescing from one client, pipeline with
-    :meth:`AsyncMatchingClient.submit_many`.
-    """
-
-    def __init__(self, host: str, port: int, *,
-                 connect_attempts: int = DEFAULT_CONNECT_ATTEMPTS,
-                 backoff: float = DEFAULT_BACKOFF_SECONDS) -> None:
-        self.host = host
-        self.port = port
-        self.connect_attempts = connect_attempts
-        self.backoff = backoff
-        self._reader: Optional[Any] = None
-        self._writer: Optional[Any] = None
-        self._lock: Optional[Any] = None
-        self._ids = itertools.count(1)
-
-    # ------------------------------------------------------------------
-    # Connection management
-    # ------------------------------------------------------------------
-    async def connect(self) -> None:
-        """Connect with bounded retry/backoff (idempotent)."""
-        import asyncio
-
-        if self._writer is not None:
-            return
-        if self._lock is None:
-            self._lock = asyncio.Lock()
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.connect_attempts):
-            if attempt:
-                await asyncio.sleep(
-                    self.backoff * (2 ** (attempt - 1))
-                )
-            try:
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                return
-            except OSError as error:
-                last_error = error
-        from ..errors import ConnectionRetriesExceededError
-
-        raise ConnectionRetriesExceededError(
-            f"{self.host}:{self.port}", self.connect_attempts, last_error
-        )
-
-    async def aclose(self) -> None:
-        """Close the connection (idempotent)."""
-        if self._writer is not None:
-            writer, self._writer = self._writer, None
-            self._reader = None
-            start_closing(writer)
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def __aenter__(self) -> "AsyncMatchingClient":
-        await self.connect()
-        return self
-
-    async def __aexit__(self, exc_type: object, exc: object,
-                        tb: object) -> None:
-        await self.aclose()
-
-    # ------------------------------------------------------------------
-    # The wire exchange
-    # ------------------------------------------------------------------
-    async def _exchange(self, messages: List[Dict[str, Any]],
-                        ) -> List[Dict[str, Any]]:
-        await self.connect()
-        assert self._lock is not None
-        async with self._lock:
-            assert self._reader is not None and self._writer is not None
-            wanted = [message["id"] for message in messages]
-            try:
-                await write_frame_async(
-                    self._writer, *[json.dumps(message).encode("utf-8")
-                                    for message in messages],
-                )
-                responses: Dict[Any, Dict[str, Any]] = {}
-                outstanding = set(wanted)
-                while outstanding:
-                    frame = await read_frame_async(self._reader)
-                    if frame is None:
-                        raise NetworkError(
-                            f"server closed the connection with "
-                            f"{len(outstanding)} response(s) outstanding"
-                        )
-                    message = _decode_response(frame)
-                    if message["id"] in outstanding:
-                        outstanding.discard(message["id"])
-                        responses[message["id"]] = message
-                return [responses[message_id] for message_id in wanted]
-            except (OSError, NetworkError):
-                await self.aclose()
-                raise
-
-    async def _call(self, op: str,
-                    payload: Optional[Dict[str, Any]] = None,
-                    ) -> Dict[str, Any]:
-        message = {"id": next(self._ids), "op": op,
-                   "payload": payload or {}}
-        (response,) = await self._exchange([message])
-        if not response.get("ok"):
-            raise_error_frame(response.get("error") or {})
-        return response.get("payload") or {}
-
-    # ------------------------------------------------------------------
-    # The serving surface
-    # ------------------------------------------------------------------
-    async def submit(self, request: Any) -> MatchResult:
-        """Answer one workload remotely (mirrors ``front.submit``)."""
-        results = await self.submit_many([request])
-        return results[0]
-
-    async def submit_many(self,
-                          requests: Sequence[Any]) -> List[MatchResult]:
-        """Answer a batch, pipelined over the one connection."""
-        batch = [MatchingRequest.of(request) for request in requests]
-        if not batch:
-            return []
-        messages = [
-            {"id": next(self._ids), "op": "match",
-             "payload": encode_request(request)}
-            for request in batch
-        ]
-        responses = await self._exchange(messages)
-        by_id = {message["id"]: message for message in responses}
-        return _collect(by_id, [message["id"] for message in messages])
-
-    async def stats(self) -> Dict[str, Any]:
-        """The server's stats snapshot (the ``stats`` RPC)."""
-        return await self._call("stats")
-
-    async def health(self) -> Dict[str, Any]:
-        """The server's liveness/drain state (the ``health`` RPC)."""
-        return await self._call("health")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "connected" if self._writer is not None else "idle"
-        return f"AsyncMatchingClient({self.host}:{self.port}, {state})"

@@ -6,9 +6,13 @@ payload (:mod:`repro.net.codec`); the shard-worker protocol puts a
 pickle there (the :class:`~repro.parallel.ShardTask` types are already
 picklable by contract). Both directions of both protocols use this one
 framing, so there is a single place that enforces the size cap and a
-single set of read/write helpers — synchronous (plain sockets, the sync
+single set of read/write helpers — synchronous (plain sockets: the
 client and the thread-driven remote executor) and asynchronous (asyncio
-streams, the servers and the async client).
+streams: the servers).
+
+Both servers are a :class:`FrameServer`: one connection loop, one
+start/drain lifecycle, and one command-line runner
+(:func:`serve_listening`); a subclass only answers a frame's bytes.
 
 A clean EOF *between* frames reads as ``None`` (the peer hung up); an
 EOF *inside* a frame is a protocol error and raises
@@ -20,7 +24,8 @@ from __future__ import annotations
 import socket
 import struct
 import time
-from typing import TYPE_CHECKING, Optional, Protocol, Tuple
+from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING, Any, Optional, Protocol, Tuple, TypeVar
 
 if TYPE_CHECKING:
     import asyncio
@@ -195,3 +200,171 @@ def start_closing(closeable: _Closeable) -> None:
     on the event loop.
     """
     closeable.close()
+
+
+# ----------------------------------------------------------------------
+# The frame server
+# ----------------------------------------------------------------------
+_Server = TypeVar("_Server", bound="FrameServer")
+
+
+class FrameServer(ABC):
+    """An asyncio TCP server answering length-prefixed frames.
+
+    The connection loop and lifecycle both servers share: each
+    connection reads frames in order and answers each in its own task
+    (a slow frame never holds up the next), and each reply is written
+    whole under a per-connection lock. A connection whose peer hangs up,
+    cuts a frame short or announces one over :data:`MAX_FRAME_BYTES`
+    ends after its frames in flight are answered; other connections
+    never notice.
+
+    Subclasses implement :meth:`answer`.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._server: Optional[Any] = None
+        self._stopped = False
+        #: Frames currently being answered (all connections).
+        self._tasks: set = set()
+        #: Live connection writers, for teardown.
+        self._writers: set = set()
+
+    @abstractmethod
+    async def answer(self, frame: bytes) -> bytes:
+        """The reply payload for one frame. Never raises: a failure
+        becomes an error payload of the server's protocol."""
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def address(self) -> Tuple[str, int]:
+        """The bound ``(host, port)`` (valid after :meth:`start`)."""
+        if self._server is None:
+            raise NetworkError(f"{type(self).__name__} is not started")
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def start(self) -> Tuple[str, int]:
+        """Bind and start accepting connections; returns the address."""
+        import asyncio
+
+        if self._server is not None:
+            raise NetworkError(f"{type(self).__name__} is already started")
+        self._server = await asyncio.start_server(
+            self._handle_connection, host=self.host, port=self.port,
+        )
+        return self.address
+
+    async def serve_forever(self) -> None:
+        """Serve until cancelled (the CLI entry point's main loop)."""
+        if self._server is None:
+            await self.start()
+        assert self._server is not None
+        await self._server.serve_forever()
+
+    async def stop(self) -> None:
+        """Graceful drain (idempotent).
+
+        Refuse new connections, answer every frame in flight (and any
+        that arrive meanwhile on open connections), then close the
+        connections.
+        """
+        import asyncio
+
+        if self._stopped:
+            return
+        self._stopped = True
+        if self._server is not None:
+            start_closing(self._server)
+        # Every frame task runs to completion and its reply is written
+        # before any connection is torn down.
+        while self._tasks:
+            await asyncio.gather(*list(self._tasks),
+                                 return_exceptions=True)
+        for writer in list(self._writers):
+            start_closing(writer)
+        if self._server is not None:
+            await self._server.wait_closed()
+
+    def _state(self) -> str:
+        if self._stopped:
+            return "stopped"
+        return "listening" if self._server is not None else "unbound"
+
+    async def __aenter__(self: _Server) -> _Server:
+        await self.start()
+        return self
+
+    async def __aexit__(self, exc_type: object, exc: object,
+                        tb: object) -> None:
+        await self.stop()
+
+    # ------------------------------------------------------------------
+    # The connection loop
+    # ------------------------------------------------------------------
+    async def _handle_connection(self, reader: Any, writer: Any) -> None:
+        import asyncio
+
+        self._writers.add(writer)
+        write_lock = asyncio.Lock()
+        pending: set = set()
+        try:
+            while True:
+                try:
+                    frame = await read_frame_async(reader)
+                except (NetworkError, ConnectionError):
+                    break
+                if frame is None:
+                    break
+                task = asyncio.get_running_loop().create_task(
+                    self._reply(frame, writer, write_lock)
+                )
+                pending.add(task)
+                self._tasks.add(task)
+                task.add_done_callback(pending.discard)
+                task.add_done_callback(self._tasks.discard)
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
+        finally:
+            self._writers.discard(writer)
+            start_closing(writer)
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass
+
+    async def _reply(self, frame: bytes, writer: Any,
+                     write_lock: Any) -> None:
+        data = await self.answer(frame)
+        try:
+            async with write_lock:
+                await write_frame_async(writer, data)
+        except (ConnectionError, OSError):  # peer went away mid-reply
+            pass
+
+
+def serve_listening(server: FrameServer) -> int:
+    """Serve from the command line until the process is terminated.
+
+    Binds, prints ``LISTENING <host> <port>`` on stdout for a parent
+    process to parse, and serves; the ``main()`` of both
+    ``python -m repro.net.server`` and ``python -m repro.net.worker``.
+    """
+    import asyncio
+
+    async def _serve() -> None:
+        host, port = await server.start()
+        print(f"LISTENING {host} {port}", flush=True)
+        try:
+            await server.serve_forever()
+        except asyncio.CancelledError:  # pragma: no cover - teardown
+            pass
+
+    try:
+        asyncio.run(_serve())
+    except KeyboardInterrupt:  # pragma: no cover - operator stop
+        pass
+    return 0

@@ -27,12 +27,17 @@ Three operations:
 ``health``
     ``{"status": "ok" | "draining"}`` plus the server address.
 
-Shutdown is a graceful drain: the listener closes first (new
-connections are refused), in-flight requests run to completion and
-their responses are delivered, new frames on surviving connections are
-rejected with 503, then connections and the async front-end are closed.
+A frame that is not a UTF-8 JSON object with a string ``op`` answers
+400 with type ``CodecError``, echoing the ``id`` when one could be
+read; an unknown ``op`` answers 400 too. The connection stays usable.
 
-:class:`ServerThread` runs any of the :mod:`repro.net` servers on a
+Shutdown is the :class:`~repro.net.frames.FrameServer` graceful drain:
+the listener closes first (new connections are refused), in-flight
+requests run to completion and their responses are delivered, new
+frames on surviving connections are rejected with 503, then connections
+and the async front-end are closed.
+
+:class:`ServerThread` runs either :mod:`repro.net` server on a
 dedicated event-loop thread — the deployment shape the synchronous
 client, the tests, and the examples use.
 """
@@ -52,7 +57,7 @@ from ..errors import (
     ServiceOverloadedError,
 )
 from .codec import decode_request, encode_result
-from .frames import read_frame_async, start_closing, write_frame_async
+from .frames import FrameServer, serve_listening
 
 __all__ = ["MatchingServer", "ServerThread"]
 
@@ -84,7 +89,7 @@ def error_payload(error: BaseException,
     }
 
 
-class MatchingServer:
+class MatchingServer(FrameServer):
     """Serve a :class:`~repro.engine.service.MatchingService` over TCP.
 
     Parameters
@@ -106,48 +111,11 @@ class MatchingServer:
                  host: str = DEFAULT_HOST, port: int = 0,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  close_service: bool = False) -> None:
+        super().__init__(host, port)
         self.service = service
-        self.host = host
-        self.port = port
         self.close_service = close_service
         self._front = AsyncMatchingService(service, max_batch=max_batch)
-        self._server: Optional[Any] = None
         self._draining = False
-        self._stopped = False
-        #: Messages currently being answered (all connections).
-        self._tasks: set = set()
-        #: Live connection writers, for teardown.
-        self._writers: set = set()
-        #: Frames served, by operation.
-        self.frames_served: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._server is None:
-            raise NetworkError("server is not started")
-        return self._server.sockets[0].getsockname()[:2]
-
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start accepting connections; returns the address."""
-        import asyncio
-
-        if self._server is not None:
-            raise NetworkError("server is already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port,
-        )
-        return self.address
-
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (the CLI entry point's main loop)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Graceful drain (idempotent).
@@ -156,75 +124,36 @@ class MatchingServer:
         late frames with 503, then tear the connections and the async
         front-end down.
         """
-        import asyncio
-
         if self._stopped:
             return
-        self._stopped = True
         self._draining = True
-        if self._server is not None:
-            start_closing(self._server)
-        # Drain: every admitted message task runs to completion and its
-        # response is written before any connection is torn down.
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks),
-                                 return_exceptions=True)
-        for writer in list(self._writers):
-            start_closing(writer)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await super().stop()
         await self._front.aclose(close_service=self.close_service)
 
-    async def __aenter__(self) -> "MatchingServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type: object, exc: object,
-                        tb: object) -> None:
-        await self.stop()
-
     # ------------------------------------------------------------------
-    # The connection loop
+    # One frame
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: Any, writer: Any) -> None:
-        import asyncio
-
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        pending: set = set()
-        try:
-            while True:
-                try:
-                    frame = await read_frame_async(reader)
-                except (NetworkError, ConnectionError):
-                    break
-                if frame is None:
-                    break
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_frame(frame, writer, write_lock)
-                )
-                pending.add(task)
-                self._tasks.add(task)
-                task.add_done_callback(pending.discard)
-                task.add_done_callback(self._tasks.discard)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        finally:
-            self._writers.discard(writer)
-            start_closing(writer)
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _handle_frame(self, frame: bytes, writer: Any,
-                            write_lock: Any) -> None:
+    async def answer(self, frame: bytes) -> bytes:
+        """The JSON reply to one JSON message frame."""
         message_id: Any = None
         try:
-            message = json.loads(frame.decode("utf-8"))
+            try:
+                message = json.loads(frame.decode("utf-8"))
+            except (ValueError, RecursionError) as error:
+                # ValueError covers UnicodeDecodeError; RecursionError
+                # is JSON nested deeper than the decoder can follow.
+                raise CodecError(
+                    f"frame is not readable UTF-8 JSON: {error}"
+                ) from None
+            if not isinstance(message, dict):
+                raise CodecError(
+                    f"frame must be a JSON object, got "
+                    f"{type(message).__name__}"
+                )
             message_id = message.get("id")
             op = message.get("op")
-            self.frames_served[op] = self.frames_served.get(op, 0) + 1
+            if not isinstance(op, str):
+                raise CodecError(f"frame op must be a string, got {op!r}")
             if op == "match":
                 response = await self._handle_match(
                     message_id, message.get("payload") or {}
@@ -246,12 +175,7 @@ class MatchingServer:
                 )
         except Exception as error:
             response = self._failure(message_id, error_payload(error))
-        data = json.dumps(response).encode("utf-8")
-        try:
-            async with write_lock:
-                await write_frame_async(writer, data)
-        except (ConnectionError, OSError):  # peer went away mid-reply
-            pass
+        return json.dumps(response).encode("utf-8")
 
     async def _handle_match(self, message_id: Any,
                             payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -278,11 +202,9 @@ class MatchingServer:
         return {"id": message_id, "ok": False, "error": error}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "stopped" if self._stopped else (
-            "draining" if self._draining else (
-                "listening" if self._server is not None else "unbound"
-            )
-        )
+        state = self._state()
+        if self._draining and state != "stopped":
+            state = "draining"
         return f"MatchingServer({self.service!r}, {state})"
 
 
@@ -298,7 +220,7 @@ class ServerThread:
 
     _READY_TIMEOUT = 30.0
 
-    def __init__(self, server: Any) -> None:
+    def __init__(self, server: FrameServer) -> None:
         self.server = server
         self._thread: Optional[Any] = None
         self._loop: Optional[Any] = None
@@ -379,7 +301,6 @@ def main(argv: Optional[list] = None) -> int:
     parse. Serves until the process is terminated.
     """
     import argparse
-    import asyncio
 
     from ..data import generate_independent
 
@@ -405,23 +326,9 @@ def main(argv: Optional[list] = None) -> int:
         deletion_mode="filter", max_inflight=args.max_inflight,
         admission=args.admission,
     )
-
-    async def _amain() -> None:
-        server = MatchingServer(
-            service, host=args.host, port=args.port, close_service=True,
-        )
-        host, port = await server.start()
-        print(f"LISTENING {host} {port}", flush=True)
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - teardown
-            pass
-
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:  # pragma: no cover - operator stop
-        pass
-    return 0
+    return serve_listening(MatchingServer(
+        service, host=args.host, port=args.port, close_service=True,
+    ))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised as subprocess

@@ -39,13 +39,12 @@ from ..parallel.shard import ShardOutcome, ShardTask, run_shard_task
 from .frames import (
     DEFAULT_BACKOFF_SECONDS,
     DEFAULT_CONNECT_ATTEMPTS,
+    FrameServer,
     connect_with_retry,
     parse_address,
-    read_frame_async,
     recv_frame,
     send_frame,
-    start_closing,
-    write_frame_async,
+    serve_listening,
 )
 
 __all__ = ["ShardWorkerServer", "RemoteExecutor",
@@ -86,7 +85,7 @@ def resolve_worker_addresses(
     return addresses
 
 
-class ShardWorkerServer:
+class ShardWorkerServer(FrameServer):
     """Execute :class:`~repro.parallel.ShardTask` frames over TCP.
 
     Each frame is a pickled ``(kind, payload)`` tuple: ``("task",
@@ -94,7 +93,8 @@ class ShardWorkerServer:
     exception)``; ``("ping", None)`` answers ``("ok", "pong")``. Task
     execution runs on a bounded thread pool off the event loop, so one
     worker process overlaps several shards (and stays responsive to
-    pings) while the loop keeps multiplexing connections.
+    pings) while the loop keeps multiplexing connections. The pool is
+    created on :meth:`start` and joined after :meth:`stop`'s drain.
     """
 
     def __init__(self, *, host: str = _LOOPBACK, port: int = 0,
@@ -103,120 +103,42 @@ class ShardWorkerServer:
             raise MatchingError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.max_workers = (
             max_workers if max_workers is not None
             else max(1, min(4, os.cpu_count() or 1))
         )
         #: Tasks executed (ok and error alike).
         self.tasks_served = 0
-        self._server: Optional[Any] = None
         self._executor: Optional[Any] = None
-        self._stopped = False
-        self._tasks: set = set()
-        self._writers: set = set()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._server is None:
-            raise NetworkError("worker server is not started")
-        return self._server.sockets[0].getsockname()[:2]
 
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting connections; returns the address."""
-        import asyncio
         from concurrent.futures import ThreadPoolExecutor
 
-        if self._server is not None:
-            raise NetworkError("worker server is already started")
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-shard-worker",
-        )
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port,
-        )
-        return self.address
-
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (the CLI entry point's main loop)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        await self._server.serve_forever()
+        if self._server is None and self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.max_workers,
+                thread_name_prefix="repro-shard-worker",
+            )
+        return await super().start()
 
     async def stop(self) -> None:
-        """Drain in-flight tasks, then shut down (idempotent)."""
+        """Drain in-flight tasks, then join the task pool (idempotent)."""
         import asyncio
         import functools
 
         if self._stopped:
             return
-        self._stopped = True
-        if self._server is not None:
-            start_closing(self._server)
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks),
-                                 return_exceptions=True)
-        for writer in list(self._writers):
-            start_closing(writer)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await super().stop()
         if self._executor is not None:
             executor, self._executor = self._executor, None
             await asyncio.get_running_loop().run_in_executor(
                 None, functools.partial(executor.shutdown, wait=True)
             )
 
-    async def __aenter__(self) -> "ShardWorkerServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, exc_type: object, exc: object,
-                        tb: object) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    # The connection loop
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: Any, writer: Any) -> None:
-        import asyncio
-
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        pending: set = set()
-        try:
-            while True:
-                try:
-                    frame = await read_frame_async(reader)
-                except (NetworkError, ConnectionError):
-                    break
-                if frame is None:
-                    break
-                task = asyncio.get_running_loop().create_task(
-                    self._handle_frame(frame, writer, write_lock)
-                )
-                pending.add(task)
-                self._tasks.add(task)
-                task.add_done_callback(pending.discard)
-                task.add_done_callback(self._tasks.discard)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        finally:
-            self._writers.discard(writer)
-            start_closing(writer)
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _handle_frame(self, frame: bytes, writer: Any,
-                            write_lock: Any) -> None:
+    async def answer(self, frame: bytes) -> bytes:
+        """The pickled reply to one pickled ``(kind, payload)`` frame."""
         import asyncio
 
         try:
@@ -239,28 +161,20 @@ class ShardWorkerServer:
         except Exception as error:
             response = ("error", error)
         try:
-            data = pickle.dumps(response)
+            return pickle.dumps(response)
         except Exception as error:  # pragma: no cover - defensive
             # An unpicklable result/exception must still answer the
             # frame, or the caller hangs waiting for it.
-            data = pickle.dumps(
+            return pickle.dumps(
                 ("error", NetworkError(
                     f"worker response could not be pickled: {error}"
                 ))
             )
-        try:
-            async with write_lock:
-                await write_frame_async(writer, data)
-        except (ConnectionError, OSError):  # peer went away mid-reply
-            pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "stopped" if self._stopped else (
-            "listening" if self._server is not None else "unbound"
-        )
         return (
-            f"ShardWorkerServer({state}, workers={self.max_workers}, "
-            f"tasks={self.tasks_served})"
+            f"ShardWorkerServer({self._state()}, "
+            f"workers={self.max_workers}, tasks={self.tasks_served})"
         )
 
 
@@ -430,7 +344,6 @@ def main(argv: Optional[list] = None) -> int:
     parse, and serves until terminated.
     """
     import argparse
-    import asyncio
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.net.worker",
@@ -441,23 +354,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--max-workers", type=int, default=None)
     args = parser.parse_args(argv)
-
-    async def _amain() -> None:
-        server = ShardWorkerServer(
-            host=args.host, port=args.port, max_workers=args.max_workers,
-        )
-        host, port = await server.start()
-        print(f"LISTENING {host} {port}", flush=True)
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - teardown
-            pass
-
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:  # pragma: no cover - operator stop
-        pass
-    return 0
+    return serve_listening(ShardWorkerServer(
+        host=args.host, port=args.port, max_workers=args.max_workers,
+    ))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised as subprocess

@@ -6,12 +6,14 @@ the per-shard stable matchings of ``(F, O_1), ..., (F, O_K)`` for any
 partition ``O = O_1 ∪ ... ∪ O_K``. This package exploits that:
 
 1. **partition** — objects are sorted by Hilbert key and cut into ``K``
-   contiguous spatial ranges (:func:`hilbert_ranges`), so every shard is
-   a compact region with its own small R-tree;
+   contiguous spatial ranges
+   (:func:`~repro.parallel.partition.hilbert_shards`, once per staging),
+   so every shard is a compact region with its own small R-tree;
 2. **match** — each shard bulk-loads its tree on the configured storage
    backend and runs the configured base algorithm against *all*
-   functions, concurrently on a process pool (thread/serial executors
-   exist for fallback and deterministic testing);
+   functions, concurrently on a persistent :class:`ShardWorkerPool`
+   (process workers; thread/serial executors exist for fallback and
+   deterministic testing);
 3. **merge** — each function keeps its best shard-local partner
    (provably a stable sub-matching; see
    :func:`repro.parallel.merge.merge_shard_pairs`);
@@ -33,15 +35,9 @@ or, to keep the worker pool warm across workloads, a prepared plan::
         result = prepared.run(prefs)
 """
 
-from .executors import (
-    BoundedThreadPool,
-    ShardWorkerPool,
-    available_executors,
-    run_shard_tasks,
-)
+from .executors import BoundedThreadPool, ShardWorkerPool, available_executors
 from .matcher import ShardedMatcher
 from .merge import cross_shard_repair, merge_shard_pairs
-from .partition import hilbert_ranges
 from .shard import ShardOutcome, ShardTask, run_shard_task
 
 __all__ = [
@@ -52,8 +48,6 @@ __all__ = [
     "ShardedMatcher",
     "available_executors",
     "cross_shard_repair",
-    "hilbert_ranges",
     "merge_shard_pairs",
     "run_shard_task",
-    "run_shard_tasks",
 ]

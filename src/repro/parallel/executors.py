@@ -1,6 +1,6 @@
 """Shard executors: how the per-shard matchings actually run.
 
-Four strategies behind one function, selected by
+Four strategies behind one :class:`ShardWorkerPool`, selected by
 ``MatchingConfig.executor``:
 
 ``"process"``
@@ -45,20 +45,20 @@ from .shard import ShardOutcome, ShardTask, run_shard_task
 
 
 def available_executors() -> tuple:
-    """The executor names understood by :func:`run_shard_tasks`."""
+    """The executor names understood by :class:`ShardWorkerPool`."""
     return tuple(EXECUTORS)
 
 
 class ShardWorkerPool:
     """A persistent shard executor, reused across matching runs.
 
-    ``run_shard_tasks`` spins a pool up and tears it down per call —
-    fine for a one-shot ``match()``, pure overhead for a serving path
-    that fans out the same shards every request (process startup alone
-    can rival a small shard's matching time). A ``ShardWorkerPool`` is
-    owned by a :class:`~repro.engine.plan.PreparedMatching`: the
-    underlying executor is created on first use and reused for every
-    subsequent run until :meth:`close`.
+    The one shard dispatch path. A ``ShardWorkerPool`` is owned by a
+    :class:`~repro.engine.plan.PreparedMatching` (a one-shot
+    ``repro.match`` prepares one and closes it): the underlying executor
+    is created on first use and reused for every subsequent run until
+    :meth:`close`, so a serving path that fans out the same shards every
+    request spawns its workers once (process startup alone can rival a
+    small shard's matching time).
 
     **Placement.** The process executor runs one single-process
     executor per worker slot, ``W`` slots (``max_workers``, default the
@@ -75,7 +75,7 @@ class ShardWorkerPool:
     actually constructed — the serving tests assert it stays at 1 across
     repeated runs. The process executor degrades to serial execution
     (permanently, with a warning) on platforms that cannot spawn
-    workers, exactly like :func:`run_shard_tasks`.
+    workers.
     """
 
     def __init__(self, executor: str = "process",
@@ -310,26 +310,3 @@ class BoundedThreadPool:
             "live" if self._pool is not None else "idle"
         )
         return f"BoundedThreadPool(max_workers={self.max_workers}, {state})"
-
-
-def run_shard_tasks(tasks: Sequence[ShardTask], executor: str = "process",
-                    max_workers: Optional[int] = None,
-                    remote_workers: Optional[Sequence[str]] = None,
-                    ) -> List[ShardOutcome]:
-    """Run every shard task under the named executor, in shard order.
-
-    One-shot convenience over :class:`ShardWorkerPool` — the pool is
-    created and torn down around the single batch, so both the one-shot
-    and the persistent serving path share one copy of the dispatch and
-    platform-fallback policy. ``remote_workers`` only matters for
-    ``executor="remote"`` (its connections are torn down with the pool;
-    serving paths that want persistent connections hold a pool).
-    """
-    tasks = list(tasks)
-    workers = max_workers if max_workers is not None else len(tasks)
-    with ShardWorkerPool(
-        executor=executor,
-        max_workers=max(1, min(workers, max(1, len(tasks)))),
-        remote_workers=remote_workers,
-    ) as pool:
-        return pool.run(tasks)

@@ -1,17 +1,17 @@
-"""The sharded matcher: partition, fan out, merge, repair, emit.
+"""The sharded matcher: fan out, merge, repair, emit.
 
-:class:`ShardedMatcher` is a drop-in :class:`~repro.core.base.Matcher`
-that wraps any canonical linear-preference algorithm (one whose matcher
-sets ``supports_repair``: sb, bf, chain, gs) and executes it as ``K``
+:class:`ShardedMatcher` is a :class:`~repro.core.base.Matcher` that
+wraps any canonical linear-preference algorithm (one whose matcher sets
+``supports_repair``: sb, bf, chain, gs) and executes it as ``K``
 concurrent shard matchings followed by an exact cross-shard repair pass.
 It is what :class:`~repro.engine.plan.PreparedMatching` runs whenever
-``MatchingConfig.shards > 1``, and its results report
+``MatchingConfig.shards > 1``, over the prepared matching's staged
+Hilbert partition and persistent worker pool, and its results report
 ``algorithm="sharded-<base algorithm>"``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterator, List, Optional
 
 from ..core.base import Matcher
@@ -26,10 +26,11 @@ from ..engine.registry import (
 from ..errors import MatchingError
 from ..prefs import LinearPreference
 from ..storage.stats import SearchStats
-from .executors import run_shard_tasks
+from .executors import ShardWorkerPool
 from .merge import cross_shard_repair, merge_shard_pairs
-from .partition import hilbert_shards
+from .partition import ShardArrays
 from .shard import ShardOutcome, ShardTask
+
 
 class ShardedMatcher(Matcher):
     """Concurrent shard matchings merged into the exact global matching.
@@ -41,8 +42,7 @@ class ShardedMatcher(Matcher):
         their own sub-problems; the parent problem backs the cross-shard
         repair pass and is never mutated.
     config:
-        The run configuration; ``shards``, ``executor`` and
-        ``max_workers`` drive the fan-out, everything else is inherited
+        The run configuration; everything but the fan-out is inherited
         by the shard workers.
     base_algorithm:
         The algorithm each shard runs (default ``config.algorithm``).
@@ -50,17 +50,24 @@ class ShardedMatcher(Matcher):
         (:func:`~repro.engine.registry.algorithm_supports_repair`) —
         that flag marks exactly the matchers producing the canonical
         greedy matching over linear preferences.
+    pool / parts / staging_token:
+        The prepared matching's persistent
+        :class:`~repro.parallel.ShardWorkerPool`, its staged
+        :func:`~repro.parallel.partition.hilbert_shards` arrays, and
+        its staging epoch: tasks carry ``(token, shard index)`` keys so
+        workers reuse their bulk-loaded trees across runs. ``parts`` is
+        ``None`` exactly when the staged set holds at most one object;
+        the base algorithm then runs on ``problem`` itself.
     """
 
     supports_repair = False
 
     def __init__(self, problem: MatchingProblem, config: MatchingConfig,
-                 base_algorithm: Optional[str] = None,
-                 shards: Optional[int] = None,
-                 executor: Optional[str] = None,
-                 search_stats: Optional[SearchStats] = None,
-                 pool=None, staging_token: Optional[int] = None,
-                 parts=None) -> None:
+                 base_algorithm: Optional[str] = None, *,
+                 pool: ShardWorkerPool,
+                 parts: Optional[List[ShardArrays]],
+                 staging_token: int,
+                 search_stats: Optional[SearchStats] = None) -> None:
         super().__init__(problem, search_stats=search_stats)
         if base_algorithm is None:
             base_algorithm = config.algorithm
@@ -86,24 +93,10 @@ class ShardedMatcher(Matcher):
                 )
         self.base_algorithm = canonical
         self.name = f"sharded-{canonical}"
-        if shards is None:
-            shards = config.shards
-        if shards < 1:
-            raise MatchingError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.executor = executor if executor is not None else config.executor
         self.config = config
-        #: Optional persistent :class:`~repro.parallel.ShardWorkerPool`
-        #: (plan-scoped); ``None`` spins an executor up per run.
         self.pool = pool
-        #: Staging epoch for the worker-side shard-problem cache; tasks
-        #: carry ``(token, shard index)`` keys so workers reuse their
-        #: bulk-loaded trees across runs of the same prepared matching.
+        self.parts = parts
         self.staging_token = staging_token
-        #: Precomputed :func:`~repro.parallel.partition.hilbert_shards`
-        #: arrays (a serving-path warm asset); ``None`` partitions on
-        #: the fly.
-        self._parts = parts
         # Aggregated counters, populated when pairs() is consumed.
         self.rounds = 0
         self.top1_searches = 0
@@ -113,9 +106,6 @@ class ShardedMatcher(Matcher):
         self.repair_chains = 0
         self.repair_steals = 0
         self.shard_stagings = 0
-        self.shard_outcomes: List[ShardOutcome] = []
-        self.shard_seconds: List[float] = []
-        self.merge_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Configuration plumbing
@@ -145,8 +135,8 @@ class ShardedMatcher(Matcher):
             # (deferred on the serving path) is never staged.
             self.shards_used = 1
             return
-        if len(problem.objects) <= 1 or self.shards <= 1:
-            # Degenerate fan-out: run the base algorithm directly on the
+        if self.parts is None:
+            # At most one object: run the base algorithm directly on the
             # parent problem, byte-for-byte the single-process path.
             matcher = create_matcher(
                 self.base_algorithm, problem, worker_config,
@@ -161,31 +151,16 @@ class ShardedMatcher(Matcher):
             self.shards_used = 1
             return
 
-        parts = (
-            self._parts if self._parts is not None
-            else hilbert_shards(problem.objects, self.shards)
-        )
         tasks = [
             ShardTask(
                 index=index, ids=ids, points=points, functions=functions,
                 config=worker_config,
-                staging_key=(
-                    (self.staging_token, index)
-                    if self.staging_token is not None else None
-                ),
+                staging_key=(self.staging_token, index),
             )
-            for index, (ids, points) in enumerate(parts) if len(ids)
+            for index, (ids, points) in enumerate(self.parts) if len(ids)
         ]
-        if self.pool is not None:
-            outcomes = self.pool.run(tasks)
-        else:
-            outcomes = run_shard_tasks(
-                tasks, executor=self.executor,
-                max_workers=self.config.max_workers,
-                remote_workers=self.config.remote_workers,
-            )
+        outcomes = self.pool.run(tasks)
 
-        merge_start = time.perf_counter()
         merged, displaced = merge_shard_pairs(
             outcome.pairs for outcome in outcomes
         )
@@ -194,10 +169,7 @@ class ShardedMatcher(Matcher):
             search_stats=self.search_stats,
         )
         final = repair.pairs()
-        self.merge_seconds = time.perf_counter() - merge_start
 
-        self.shard_outcomes = outcomes
-        self.shard_seconds = [outcome.seconds for outcome in outcomes]
         self.shards_used = len(outcomes)
         self.shard_stagings = sum(
             1 for outcome in outcomes if outcome.staged

@@ -216,3 +216,17 @@ def test_remote_executor_ping_and_close(worker_address):
     executor.close()  # idempotent
     with pytest.raises(MatchingError):
         executor.run([object()])
+
+
+# ----------------------------------------------------------------------
+# The command-line entry point
+# ----------------------------------------------------------------------
+def test_worker_entry_point_serves_a_sharded_match():
+    # A real `python -m repro.net.worker` subprocess: it announces
+    # LISTENING, and its sharded results equal executor="serial" ones
+    # (run_remote_smoke raises on any divergence).
+    from repro.bench.net import run_remote_smoke
+
+    smoke = run_remote_smoke(n_objects=120, shards=3, dims=2, seed=5)
+    assert smoke.verified
+    assert (smoke.n_objects, smoke.shards) == (120, 3)

@@ -18,8 +18,7 @@ import pytest
 import repro
 from repro.errors import (ConnectionRetriesExceededError, RemoteError,
                           ServiceOverloadedError)
-from repro.net import (AsyncMatchingClient, MatchingClient, MatchingServer,
-                       ServerThread)
+from repro.net import MatchingClient, MatchingServer, ServerThread
 
 
 def make_service(**overrides):
@@ -97,26 +96,6 @@ class RecordingSocket:
         return getattr(self.sock, name)
 
 
-class RecordingWriter:
-    """Wraps an asyncio StreamWriter; records every ``write``/``drain``."""
-
-    def __init__(self, writer):
-        self.writer = writer
-        self.written = []
-        self.drains = 0
-
-    def write(self, data):
-        self.written.append(bytes(data))
-        self.writer.write(data)
-
-    async def drain(self):
-        self.drains += 1
-        await self.writer.drain()
-
-    def __getattr__(self, name):
-        return getattr(self.writer, name)
-
-
 def batch_frames(workloads, first_id):
     """The bytes a client pipelines for ``workloads``: one match frame
     per request, ids counting up from ``first_id``."""
@@ -157,27 +136,6 @@ def test_sync_client_writes_a_batch_with_one_sendall(served):
         [r.as_set() for r in service.submit_many(workloads)]
 
 
-def test_async_client_writes_a_batch_with_one_write_and_one_drain(served):
-    import asyncio
-
-    objects, service, harness, host, port = served
-    workloads = [repro.generate_preferences(n=3, dims=2, seed=seed)
-                 for seed in range(30, 36)]
-
-    async def go():
-        async with AsyncMatchingClient(host, port) as client:
-            recorder = RecordingWriter(client._writer)
-            client._writer = recorder
-            results = await client.submit_many(workloads)
-        return recorder, results
-
-    recorder, remote = asyncio.run(go())
-    assert recorder.written == [batch_frames(workloads, first_id=1)]
-    assert recorder.drains == 1
-    assert [r.as_set() for r in remote] == \
-        [r.as_set() for r in service.submit_many(workloads)]
-
-
 def test_stats_and_health_rpcs(served):
     objects, service, harness, host, port = served
     prefs = repro.generate_preferences(n=3, dims=2, seed=9)
@@ -188,27 +146,6 @@ def test_stats_and_health_rpcs(served):
         assert set(snap) == set(service.snapshot().as_dict())
         health = client.health()
         assert health["status"] == "ok"
-
-
-def test_async_client_matches_sync_client(served):
-    import asyncio
-
-    objects, service, harness, host, port = served
-    prefs = repro.generate_preferences(n=4, dims=2, seed=11)
-    request = repro.MatchingRequest(prefs)
-    with MatchingClient(host, port) as client:
-        sync_result = client.submit(request)
-
-    async def go():
-        async with AsyncMatchingClient(host, port) as client:
-            results = await client.submit_many([request, request])
-            health = await client.health()
-        return results, health
-
-    results, health = asyncio.run(go())
-    assert health["status"] == "ok"
-    for result in results:
-        assert result.as_set() == sync_result.as_set()
 
 
 def test_codec_rejection_travels_as_a_typed_error(served):
@@ -224,6 +161,36 @@ def test_codec_rejection_travels_as_a_typed_error(served):
         # The connection survives a client-side rejection.
         prefs = repro.generate_preferences(n=2, dims=2, seed=1)
         assert client.submit(repro.MatchingRequest(prefs)).pairs
+
+
+@pytest.mark.parametrize("frame, echoed", [
+    (b"[]", None),
+    (b"42", None),
+    (b"\xff\xfe", None),
+    (b'{"id": 1, "op": [1]}', 1),
+    (b'{"id": 2}', 2),
+    (b"[" * 100_000, None),
+], ids=["array", "number", "not-utf8", "op-not-a-string", "no-op",
+        "nested-too-deep"])
+def test_malformed_frames_answer_400_codec_error(served, frame, echoed):
+    import json
+
+    from repro.net.frames import connect_with_retry, recv_frame, send_frame
+
+    objects, service, harness, host, port = served
+    sock = connect_with_retry(host, port)
+    try:
+        send_frame(sock, frame)
+        reply = json.loads(recv_frame(sock))
+        assert reply["id"] == echoed
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == 400
+        assert reply["error"]["type"] == "CodecError"
+        # The connection stays usable.
+        send_frame(sock, json.dumps({"id": 7, "op": "health"}).encode())
+        assert json.loads(recv_frame(sock))["payload"]["status"] == "ok"
+    finally:
+        sock.close()
 
 
 # ----------------------------------------------------------------------

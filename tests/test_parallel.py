@@ -12,12 +12,9 @@ from repro import MatchingConfig, available_executors
 from repro.data import generate_independent
 from repro.engine import create_matcher, get_backend
 from repro.errors import MatchingError
-from repro.parallel import (
-    ShardedMatcher,
-    ShardWorkerPool,
-    hilbert_ranges,
-    run_shard_tasks,
-)
+from repro.parallel import ShardedMatcher, ShardWorkerPool
+from repro.parallel.partition import hilbert_shards
+from repro.parallel.shard import purge_staged_shards
 from repro.prefs import generate_preferences
 from repro.rtree.hilbert import hilbert_key_for_point
 from repro.storage import SearchStats
@@ -41,28 +38,45 @@ def memory_problem(objects, functions):
     return get_backend("memory").build_problem(objects, functions, config)
 
 
+def sharded_matcher(problem, config, **kwargs):
+    """A three-shard ShardedMatcher over a serial pool, staged as a
+    prepared matching would stage it (test-local staging token -1)."""
+    return ShardedMatcher(
+        problem, config, pool=ShardWorkerPool(executor="serial"),
+        parts=hilbert_shards(problem.objects, 3), staging_token=-1,
+        **kwargs,
+    )
+
+
 # ----------------------------------------------------------------------
-# Hilbert partitioning
+# Hilbert partitioning: each shard is one range of the Hilbert order
 # ----------------------------------------------------------------------
+def shard_ids(parts):
+    return [ids.tolist() for ids, _ in parts]
+
+
 def test_hilbert_ranges_partition_the_items():
     objects, _ = tiny_workload(n_objects=101)
-    items = list(objects.items())
-    parts = hilbert_ranges(items, 4)
+    parts = hilbert_shards(objects, 4)
     assert len(parts) == 4
     # Near-equal cardinalities and a complete, disjoint cover.
-    sizes = [len(part) for part in parts]
+    sizes = [len(ids) for ids, _ in parts]
     assert max(sizes) - min(sizes) <= 1
-    flattened = [object_id for part in parts for object_id, _ in part]
-    assert sorted(flattened) == sorted(object_id for object_id, _ in items)
-    assert len(set(flattened)) == len(items)
+    flattened = [object_id for ids in shard_ids(parts) for object_id in ids]
+    assert sorted(flattened) == sorted(objects.ids)
+    assert len(set(flattened)) == len(objects)
+    # Each row is its object's point.
+    for ids, points in parts:
+        for object_id, point in zip(ids.tolist(), points):
+            assert tuple(point) == tuple(objects.vector(object_id))
 
 
 def test_hilbert_ranges_are_contiguous_in_hilbert_order():
     objects, _ = tiny_workload(n_objects=64)
-    parts = hilbert_ranges(list(objects.items()), 4)
+    parts = hilbert_shards(objects, 4)
     keys = [
-        [hilbert_key_for_point(point) for _, point in part]
-        for part in parts
+        [hilbert_key_for_point(point) for point in points]
+        for _, points in parts
     ]
     # Every shard's key range precedes the next shard's.
     for left, right in zip(keys, keys[1:]):
@@ -72,18 +86,24 @@ def test_hilbert_ranges_are_contiguous_in_hilbert_order():
 
 def test_hilbert_ranges_more_shards_than_items():
     objects, _ = tiny_workload(n_objects=3)
-    parts = hilbert_ranges(list(objects.items()), 10)
+    parts = hilbert_shards(objects, 10)
     assert len(parts) == 10
-    assert sum(len(part) for part in parts) == 3
-    assert all(len(part) <= 1 for part in parts)
+    assert sum(len(ids) for ids, _ in parts) == 3
+    assert all(len(ids) <= 1 for ids, _ in parts)
+    assert all(points.shape == (len(ids), 3) for ids, points in parts)
 
 
 def test_hilbert_ranges_deterministic_and_validating():
     objects, _ = tiny_workload(n_objects=40)
     items = list(objects.items())
-    assert hilbert_ranges(items, 3) == hilbert_ranges(list(reversed(items)), 3)
+    reversed_objects = repro.Dataset(
+        [list(point) for _, point in reversed(items)],
+        ids=[object_id for object_id, _ in reversed(items)],
+    )
+    assert (shard_ids(hilbert_shards(objects, 3))
+            == shard_ids(hilbert_shards(reversed_objects, 3)))
     with pytest.raises(MatchingError, match="shards"):
-        hilbert_ranges(items, 0)
+        hilbert_shards(objects, 0)
 
 
 # ----------------------------------------------------------------------
@@ -105,10 +125,11 @@ def test_available_executors():
                                           "remote"}
 
 
-def test_run_shard_tasks_rejects_unknown_executor():
+def test_shard_worker_pool_rejects_unknown_executor():
     with pytest.raises(MatchingError, match="executor"):
-        run_shard_tasks([], executor="gpu")
-    assert run_shard_tasks([], executor="serial") == []
+        ShardWorkerPool(executor="gpu")
+    with ShardWorkerPool(executor="serial") as pool:
+        assert pool.run([]) == []
 
 
 # ----------------------------------------------------------------------
@@ -141,9 +162,13 @@ def test_sharded_search_stats_are_aggregated():
     objects, functions = tiny_workload(seed=75)
     config = MatchingConfig(backend="memory", shards=3, executor="serial")
     stats = SearchStats()
-    matcher = ShardedMatcher(memory_problem(objects, functions), config,
-                             base_algorithm="sb", search_stats=stats)
-    assert list(matcher.pairs())
+    matcher = sharded_matcher(memory_problem(objects, functions), config,
+                              base_algorithm="sb", search_stats=stats)
+    try:
+        assert list(matcher.pairs())
+    finally:
+        purge_staged_shards(-1)
+    assert matcher.shards_used == 3
     assert stats.dominance_checks > 0
     assert stats.score_evaluations > 0
 
@@ -272,16 +297,20 @@ def test_sharded_matcher_rejects_non_canonical_base():
     problem = memory_problem(objects, functions)
     config = MatchingConfig(backend="memory")
     with pytest.raises(MatchingError, match="cannot run sharded"):
-        ShardedMatcher(problem, config, base_algorithm="generic-sb")
+        sharded_matcher(problem, config, base_algorithm="generic-sb")
     with pytest.raises(MatchingError, match="unknown base algorithm"):
-        ShardedMatcher(problem, config, base_algorithm="oracle")
+        sharded_matcher(problem, config, base_algorithm="oracle")
 
 
 def test_sharded_matcher_single_shard_delegates_exactly():
+    # No staged parts (a prepared matching stages none for at most one
+    # object): the base algorithm runs on the parent problem itself.
     objects, functions = tiny_workload(seed=79)
     problem = memory_problem(objects, functions)
     config = MatchingConfig(backend="memory")
-    matcher = ShardedMatcher(problem, config, base_algorithm="sb", shards=1)
+    matcher = ShardedMatcher(problem, config, base_algorithm="sb",
+                             pool=ShardWorkerPool(executor="serial"),
+                             parts=None, staging_token=-1)
     sharded_pairs = [
         (p.function_id, p.object_id, p.score, p.round, p.rank)
         for p in matcher.pairs()

@@ -3,9 +3,9 @@
 Shards travel as ``(ids, points)`` arrays cut by ``hilbert_shards``, the
 cross-shard repair is seeded with the shard winners only, and a process
 pool places shard ``i`` of run ``r`` on worker ``(i + r) mod W``. Each
-piece is checked against what it replaced: the tuple partition of
-``hilbert_ranges``, ``Dataset.from_mapping`` staging, and a repair
-engine seeded with every object of the parent problem.
+piece is checked against what it replaced: a scalar tuple partition
+(:func:`scalar_hilbert_ranges`), ``Dataset.from_mapping`` staging, and
+a repair engine seeded with every object of the parent problem.
 """
 
 import pickle
@@ -24,7 +24,6 @@ from repro.engine.backends import get_backend
 from repro.parallel import (
     ShardWorkerPool,
     cross_shard_repair,
-    hilbert_ranges,
     merge_shard_pairs,
 )
 from repro.parallel.partition import hilbert_shards
@@ -66,13 +65,20 @@ def shuffled_dataset(points, seed):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(st.tuples(coordinate, coordinate, coordinate),
-                min_size=0, max_size=40),
+                min_size=1, max_size=40),
        st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=2**16))
 def test_hilbert_ranges_unchanged(points, shards, seed):
-    items = list(shuffled_dataset(points, seed).items()) if points else []
-    assert hilbert_ranges(items, shards) == scalar_hilbert_ranges(
-        items, shards)
+    # hilbert_shards makes the scalar cut: the same members per shard,
+    # listed by ascending id, each row its object's point.
+    objects = shuffled_dataset(points, seed)
+    parts = hilbert_shards(objects, shards)
+    expected = scalar_hilbert_ranges(list(objects.items()), shards)
+    assert len(parts) == len(expected) == shards
+    for (ids, rows), old in zip(parts, expected):
+        old = sorted(old)
+        assert ids.tolist() == [object_id for object_id, _ in old]
+        assert rows.tolist() == [list(point) for _, point in old]
 
 
 @settings(max_examples=40, deadline=None,
