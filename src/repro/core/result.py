@@ -14,20 +14,42 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..errors import MatchingError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatchPair:
     """One stable function-object assignment.
 
     ``round`` is the matcher loop iteration that emitted the pair
     (Section IV-C emits several pairs per round), starting at 0. ``rank``
     is the global emission order.
+
+    Slotted, with no per-pair dict: a served result keeps its pairs for
+    as long as a cache or caller holds it.
     """
+
+    __slots__ = ("function_id", "object_id", "score", "round", "rank")
 
     function_id: int
     object_id: int
     score: float
-    round: int = 0
-    rank: int = 0
+    round: int
+    rank: int
+
+    def __init__(self, function_id: int, object_id: int, score: float,
+                 round: int = 0, rank: int = 0) -> None:
+        # object.__setattr__ gets past the frozen guard, as a generated
+        # frozen __init__ does.
+        set_field = object.__setattr__
+        set_field(self, "function_id", function_id)
+        set_field(self, "object_id", object_id)
+        set_field(self, "score", score)
+        set_field(self, "round", round)
+        set_field(self, "rank", rank)
+
+    def __reduce__(self) -> tuple:
+        # Pickle's default restore sets slots one by one, which a frozen
+        # dataclass refuses; rebuild through the constructor instead.
+        return type(self), (self.function_id, self.object_id, self.score,
+                            self.round, self.rank)
 
 
 class Matching:

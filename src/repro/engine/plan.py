@@ -265,7 +265,10 @@ class PreparedMatching:
     * the capacity-expanded dataset and virtual-owner fold-back map;
     * the staged problem — a real backend staging on the single-process
       path, a *deferred* one on the sharded path (shard workers build
-      their own trees; the parent tree is never bulk-loaded);
+      their own trees; the parent tree is never bulk-loaded). A restage
+      after session churn stages only the data: the single-process tree
+      is bulk-loaded again by the first tree-path run that needs it,
+      never by vectorized batches, which read only the objects;
     * the precomputed Hilbert partition and a persistent
       :class:`~repro.parallel.ShardWorkerPool` (workers spawn once, and
       their shard stagings are cached worker-side across runs);
@@ -301,13 +304,26 @@ class PreparedMatching:
         # The vectorized batch path only snapshots the object matrix
         # under this lock and scores outside it.
         self._serve_lock = threading.RLock()
+        #: The staged problem: a _DeferredProblem on the sharded path,
+        #: else the backend problem, or None until a tree-path run needs
+        #: it (see _staged_problem).
+        self._problem: Union[MatchingProblem, _DeferredProblem, None] = None  # guarded-by: _serve_lock
         self._stage(objects)
+        # prepare() pays the bulk load; only restages defer it.
+        self._staged_problem()
 
     # ------------------------------------------------------------------
     # Staging
     # ------------------------------------------------------------------
-    def _stage(self, objects: Dataset) -> None:
-        """(Re)stage the object set into backend + partition state."""
+    def _stage(self, objects: Dataset) -> None:  # lint: holds-lock=_serve_lock
+        """(Re)stage the object set's data: no tree is bulk-loaded here.
+
+        Stages the capacity-expanded objects and the virtual-owner map;
+        a sharded plan also gets its deferred parent problem and Hilbert
+        partition. An unsharded plan's backend problem is dropped, to be
+        built by :meth:`_staged_problem` when a tree-path run needs it:
+        the vectorized scorer reads only the objects.
+        """
         config = self.plan.config
         self._virtual_owner: Optional[List[int]] = None
         expanded = objects
@@ -316,21 +332,24 @@ class PreparedMatching:
                 objects, config.capacities
             )
         self._expanded = expanded
-        sharded = self.plan.is_sharded and len(expanded) > 1
         self._parts: Optional[list] = None
-        self._problem: Union[MatchingProblem, _DeferredProblem]
-        if sharded:
+        self._problem = None
+        if self.plan.is_sharded and len(expanded) > 1:
             from ..parallel.partition import hilbert_shards
 
             self._problem = _DeferredProblem(expanded, DiskManager())
             self._parts = hilbert_shards(expanded, self.plan.shards)
-        else:
-            self._problem = self.plan.backend.build_problem(
-                expanded, [], config
-            )
         self._drop_worker_stagings()
         self._token = next(_STAGING_TOKENS)
         self.stagings += 1
+
+    def _staged_problem(self) -> Union[MatchingProblem, _DeferredProblem]:  # lint: holds-lock=_serve_lock
+        """The staged problem, bulk-loading the unsharded one on first use."""
+        if self._problem is None:
+            self._problem = self.plan.backend.build_problem(
+                self._expanded, [], self.plan.config
+            )
+        return self._problem
 
     def _drop_worker_stagings(self) -> None:
         """Free this staging epoch's in-process worker shard caches."""
@@ -346,7 +365,7 @@ class PreparedMatching:
         Two staleness sources: a bound session's object churn (restage
         from the surviving objects), and a ``deletion_mode="delete"``
         matcher having consumed part of the staged tree on the previous
-        run (rebuild it).
+        run (drop it: the next tree-path run bulk-loads a fresh one).
         """
         if self._session is not None and self._session_dirty:
             self.objects = self._session.objects()  # flushes the session
@@ -354,10 +373,9 @@ class PreparedMatching:
             self._session_dirty = False
             return
         problem = self._problem
-        if isinstance(problem, _DeferredProblem):
-            return  # the sharded path has no parent tree to consume
-        if problem.tree.num_objects != len(problem.objects):
-            self._problem = problem.rebuild()
+        if (isinstance(problem, MatchingProblem)
+                and problem.tree.num_objects != len(problem.objects)):
+            self._problem = None
             self.stagings += 1
 
     # ------------------------------------------------------------------
@@ -378,12 +396,14 @@ class PreparedMatching:
 
     @property
     def parent_tree_built(self) -> bool:
-        """Whether a full-dataset parent tree was bulk-loaded.
+        """Whether a full-dataset parent tree is bulk-loaded right now.
 
         ``False`` on the sharded path, whose merge/repair read only
-        ``problem.objects``.
+        ``problem.objects``, and after a restage until a tree-path run
+        builds the tree.
         """
-        return not isinstance(self._problem, _DeferredProblem)
+        with self._serve_lock:
+            return isinstance(self._problem, MatchingProblem)
 
     def _create_matcher(self, problem):
         config = self.plan.config
@@ -501,7 +521,7 @@ class PreparedMatching:
     def _run_cold(self, functions: List) -> MatchResult:
         """One actual matching run, packaged as a :class:`MatchResult`."""
         config = self.plan.config
-        problem = self._problem.with_functions(functions)
+        problem = self._staged_problem().with_functions(functions)
         problem.reset_io()
         matcher = self._create_matcher(problem)
 

@@ -11,7 +11,7 @@ seconds), so a result is self-describing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from ..core.result import Matching, MatchPair
 from ..errors import MatchingError
@@ -50,22 +50,24 @@ class MatchResult:  # lint: frozen
         #: Auxiliary counters (rounds, top-1 searches, ...).
         self.stats: Dict[str, float] = dict(stats or {})
 
-        self.by_function: Dict[int, MatchPair] = {}
-        self.usage: Dict[int, int] = {}
+        # Validated, not stored: a served result is held by caches and
+        # callers, so it keeps only its pairs.
+        matched: Set[int] = set()
+        usage: Dict[int, int] = {}
         for pair in self.pairs:
-            if pair.function_id in self.by_function:
+            if pair.function_id in matched:
                 raise MatchingError(
                     f"function {pair.function_id} matched more than once"
                 )
-            self.by_function[pair.function_id] = pair
-            self.usage[pair.object_id] = self.usage.get(pair.object_id, 0) + 1
+            matched.add(pair.function_id)
+            count = usage[pair.object_id] = usage.get(pair.object_id, 0) + 1
             limit = (
                 1 if self.capacities is None
                 else self.capacities.get(pair.object_id, 1)
             )
-            if self.usage[pair.object_id] > limit:
+            if count > limit:
                 raise MatchingError(
-                    f"object {pair.object_id} assigned {self.usage[pair.object_id]} "
+                    f"object {pair.object_id} assigned {count} "
                     f"times, capacity {limit}"
                 )
 
@@ -82,12 +84,23 @@ class MatchResult:  # lint: frozen
     def is_capacitated(self) -> bool:
         return self.capacities is not None
 
+    @property
+    def usage(self) -> Dict[int, int]:
+        """``{object_id: functions served}`` (computed on each call)."""
+        usage: Dict[int, int] = {}
+        for pair in self.pairs:
+            usage[pair.object_id] = usage.get(pair.object_id, 0) + 1
+        return usage
+
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
     def object_of(self, function_id: int) -> Optional[int]:
-        pair = self.by_function.get(function_id)
-        return pair.object_id if pair is not None else None
+        """The object serving ``function_id`` (``None`` if unmatched)."""
+        for pair in self.pairs:
+            if pair.function_id == function_id:
+                return pair.object_id
+        return None
 
     def function_of(self, object_id: int) -> Optional[int]:
         """The single function served by ``object_id`` (1-1 results)."""

@@ -216,8 +216,8 @@ class FrameServer(ABC):
     (a slow frame never holds up the next), and each reply is written
     whole under a per-connection lock. A connection whose peer hangs up,
     cuts a frame short or announces one over :data:`MAX_FRAME_BYTES`
-    ends after its frames in flight are answered; other connections
-    never notice.
+    ends after its frames in flight are answered; one whose reply would
+    exceed that cap ends at once. Other connections never notice.
 
     Subclasses implement :meth:`answer`.
     """
@@ -342,6 +342,11 @@ class FrameServer(ABC):
         try:
             async with write_lock:
                 await write_frame_async(writer, data)
+        except NetworkError:
+            # The answer is over MAX_FRAME_BYTES, so nothing was written.
+            # End the connection: its client fails now instead of
+            # waiting for a reply that will never come.
+            start_closing(writer)
         except (ConnectionError, OSError):  # peer went away mid-reply
             pass
 

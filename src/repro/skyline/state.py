@@ -113,6 +113,18 @@ def pruned_items(chunks: Iterable[PrunedChunk]) -> List[PrunedItem]:
     ]
 
 
+def _coordinate_sum(point: Sequence[float]) -> float:
+    """A point's coordinates summed left to right in float arithmetic.
+
+    Rounding is monotone, so a point weakly dominated by another never
+    sums above it (:meth:`SkylineState.dominated_members` relies on it).
+    """
+    total = 0.0
+    for value in point:
+        total += float(value)
+    return total
+
+
 def _first_hits(highs: np.ndarray, rows: np.ndarray,
                 ids: np.ndarray) -> np.ndarray:
     """Per row of ``highs``: the id of the first of ``rows`` weakly
@@ -141,6 +153,9 @@ class SkylineState:
         self._active = np.zeros(64, dtype=bool)
         self._size = 0  # rows used (including tombstones)
         self._row_of: Dict[int, int] = {}
+        # Smallest coordinate sum of any member ever added. Removals
+        # leave it as is: it stays a lower bound on the members' sums.
+        self._min_sum = float("inf")
 
     # ------------------------------------------------------------------
     # Membership
@@ -189,6 +204,7 @@ class SkylineState:
         self._points[object_id] = point
         self._plists[object_id] = []
         self._index_add(object_id, point)
+        self._min_sum = min(self._min_sum, _coordinate_sum(point))
 
     def park(self, owner_id: int, item: PrunedItem) -> None:
         """Attach a pruned ``(entry, level)`` to the member dominating it.
@@ -340,10 +356,12 @@ class SkylineState:
         victim pop (and be admitted) first. The dominator, once admitted,
         demotes such members into its own pruned list. Asked at every
         admission, so it is the same lean per-column comparison as
-        :meth:`first_dominator`.
+        :meth:`first_dominator`, skipped outright when ``point`` sums
+        below every member: a member it weakly dominates would sum no
+        higher than it.
         """
         self._check_width(point)
-        if not self._points:
+        if not self._points or _coordinate_sum(point) < self._min_sum:
             return []
         size = self._size
         rows = self._matrix

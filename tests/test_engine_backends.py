@@ -207,3 +207,31 @@ def test_capacitated_result_restricts_one_to_one_accessors():
         result.function_of(2)
     with pytest.raises(MatchingError, match="capacitated"):
         result.to_matching()
+
+
+@pytest.mark.parametrize("capacities", [None, {0: 3, 1: 2, 2: 0}],
+                         ids=["one-to-one", "capacitated"])
+def test_result_lookups_come_from_the_pairs(capacities):
+    objects = generate_independent(12, 3, seed=85)
+    functions = generate_preferences(9, 3, seed=86)
+    result = repro.match(objects, functions, capacities=capacities,
+                         backend="memory")
+    usage = {}
+    for pair in result.pairs:
+        usage[pair.object_id] = usage.get(pair.object_id, 0) + 1
+    assert result.usage == usage
+    assert result.usage is not result.usage  # computed, never stored
+    by_function = {pair.function_id: pair for pair in result.pairs}
+    for function in functions:
+        pair = by_function.get(function.fid)
+        assert result.object_of(function.fid) == (
+            None if pair is None else pair.object_id)
+    assert not hasattr(result, "by_function")
+    with pytest.raises(MatchingError, match="matched more than once"):
+        MatchResult(result.pairs + result.pairs[:1], capacities=capacities)
+    limits = result.capacities or {}
+    full = next(object_id for object_id, count in usage.items()
+                if count == limits.get(object_id, 1))
+    with pytest.raises(MatchingError, match="capacity"):
+        MatchResult(result.pairs + [_pair(99, full, 0.1)],
+                    capacities=result.capacities)

@@ -5,20 +5,24 @@ one connection loop, one start/drain lifecycle. Every case runs on both,
 each under a ``ServerThread``, with one server and at most two client
 connections at a time: a peer that cuts a frame short or announces an
 oversized one loses only its own connection, a server refuses a second
-``start()``, a second ``stop()`` does nothing, and a stopped server
-refuses connections.
+``start()``, a second ``stop()`` does nothing, a stopped server
+refuses connections, and a reply too large to frame ends its connection
+at once instead of leaving the client waiting.
 """
 
 import asyncio
 import json
 import pickle
 import socket
+import time
 
 import pytest
 
 import repro
-from repro.errors import NetworkError
-from repro.net import MatchingServer, ServerThread, ShardWorkerServer
+import repro.net.frames as frames
+from repro.errors import NetworkError, ReproError
+from repro.net import (MatchingClient, MatchingServer, RemoteExecutor,
+                       ServerThread, ShardWorkerServer)
 from repro.net.frames import (HEADER, MAX_FRAME_BYTES, connect_with_retry,
                               recv_frame, send_frame)
 
@@ -95,6 +99,39 @@ def test_an_oversized_header_ends_only_its_connection(kind, harness):
         assert closed_by_server(sock)
     finally:
         sock.close()
+    assert answers_probe(kind, address)
+
+
+def ask_stats(host, port):
+    with MatchingClient(host, port, timeout=5.0) as client:
+        client.stats()
+
+
+def ask_ping(host, port):
+    with RemoteExecutor([f"{host}:{port}"], timeout=5.0) as executor:
+        executor.ping()
+
+
+#: Per protocol: a frame cap the request fits under but its reply does
+#: not, and the client call making that request. A ``stats`` reply runs
+#: to hundreds of bytes; ``("ok", "pong")`` pickles a few bytes longer
+#: than ``("ping", None)``.
+OVERSIZED_REPLIES = {
+    "matching": (200, ask_stats),
+    "worker": (len(pickle.dumps(("ping", None))), ask_ping),
+}
+
+
+def test_a_reply_over_the_cap_ends_its_connection_at_once(kind, harness,
+                                                          monkeypatch):
+    address = harness.server.address
+    cap, call = OVERSIZED_REPLIES[kind]
+    with monkeypatch.context() as patch:
+        patch.setattr(frames, "MAX_FRAME_BYTES", cap)
+        start = time.monotonic()
+        with pytest.raises(ReproError):
+            call(*address)
+        assert time.monotonic() - start < 2.5
     assert answers_probe(kind, address)
 
 

@@ -7,6 +7,7 @@ import repro
 from repro import MatchingConfig, MatchingPlan, PreparedMatching
 from repro.data import generate_independent
 from repro.engine import available_algorithms, available_backends
+from repro.engine.backends import DiskBackend, MemoryBackend
 from repro.engine.cache import config_fingerprint
 from repro.errors import MatchingError
 from repro.prefs import generate_preferences
@@ -312,6 +313,119 @@ def test_plan_open_session_matches_facade_contract():
         repro.plan(backend="memory", shards=2).open_session(
             objects, functions
         )
+
+
+# ----------------------------------------------------------------------
+# Restage after session churn: the data now, the tree on first tree use
+# ----------------------------------------------------------------------
+BACKENDS = {"memory": MemoryBackend, "disk": DiskBackend}
+
+
+def spy_on_tree_builds(monkeypatch, backend):
+    """Count ``build_problem`` calls on one backend class from now on."""
+    cls = BACKENDS[backend]
+    calls = []
+    real = cls.build_problem
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "build_problem", counted)
+    return calls
+
+
+def churned_service(backend, seed):
+    """A service whose bound session just deleted and inserted objects."""
+    objects, functions = tiny_workload(seed=seed)
+    service = repro.MatchingService(objects, backend=backend,
+                                    deletion_mode="filter")
+    session = service.open_session(functions)
+    service.submit(functions)
+    session.delete_object(session.pairs[0].object_id)
+    session.insert_object(10_000, (0.97, 0.95, 0.99))
+    return service, session
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_churn_restage_builds_no_tree_for_a_vectorized_batch(monkeypatch,
+                                                             backend):
+    service, session = churned_service(backend, seed=110)
+    workloads = [generate_preferences(10, 3, seed=s) for s in (111, 112)]
+    with service:
+        calls = spy_on_tree_builds(monkeypatch, backend)
+        served = service.submit_many(workloads)
+        assert calls == []
+        assert not service.prepared.parent_tree_built
+        stats = service.snapshot()
+        assert stats.vectorized_requests == 2
+        assert stats.stagings == 2
+    monkeypatch.undo()
+    survivors = session.objects()
+    for result, functions in zip(served, workloads):
+        cold = repro.match(survivors, functions, backend=backend)
+        assert assignments(result) == assignments(cold)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_first_tree_miss_after_churn_builds_the_tree_once(monkeypatch,
+                                                          backend):
+    service, session = churned_service(backend, seed=113)
+    workloads = [generate_preferences(10, 3, seed=s) for s in (114, 115)]
+    with service:
+        calls = spy_on_tree_builds(monkeypatch, backend)
+        served = [service.submit(functions) for functions in workloads]
+        survivors = session.objects()
+        assert calls == [len(survivors)]  # the second miss reuses it
+        assert service.prepared.parent_tree_built
+        stats = service.snapshot()
+        assert (stats.fallback_requests, stats.stagings) == (3, 2)
+    monkeypatch.undo()
+    for result, functions in zip(served, workloads):
+        cold = repro.match(survivors, functions, backend=backend)
+        assert assignments(result) == assignments(cold)
+
+
+def test_a_consumed_tree_is_rebuilt_by_the_next_tree_miss(monkeypatch):
+    # Chain (deletion_mode="delete") consumes the tree; a vectorized
+    # batch after it needs none, so only the next tree-path run rebuilds.
+    objects, functions = tiny_workload(seed=119)
+    workloads = [generate_preferences(10, 3, seed=s) for s in (120, 121)]
+    lone = generate_preferences(10, 3, seed=122)
+    with repro.MatchingService(objects, algorithm="chain",
+                               backend="memory") as service:
+        service.submit(functions)
+        calls = spy_on_tree_builds(monkeypatch, "memory")
+        served = service.submit_many(workloads)
+        assert calls == []
+        assert not service.prepared.parent_tree_built
+        served.append(service.submit(lone))
+        assert calls == [len(objects)]
+        assert service.snapshot().stagings == 2
+    monkeypatch.undo()
+    for result, workload in zip(served, workloads + [lone]):
+        assert assignments(result) == assignments(repro.match(
+            objects, workload, algorithm="chain", backend="memory"))
+
+
+def test_rewound_version_serves_the_next_tree_miss_correctly():
+    objects, functions = tiny_workload(seed=116)
+    prepared = repro.plan(backend="memory",
+                          deletion_mode="filter").prepare(objects)
+    session = prepared.open_session(functions)
+    genesis = session.checkpoint()
+    version = prepared.objects_version
+    session.delete_object(session.pairs[0].object_id)
+    churned = generate_preferences(10, 3, seed=117)
+    assert assignments(prepared.run(churned)) == assignments(
+        repro.match(session.objects(), churned, backend="memory"))
+    session.restore(genesis)
+    prepared.restore_version(version)
+    rewound = generate_preferences(10, 3, seed=118)
+    assert assignments(prepared.run(rewound)) == assignments(
+        repro.match(objects, rewound, backend="memory"))
+    assert prepared.parent_tree_built
+    assert prepared.stagings == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Matching result containers."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import Matching, MatchPair
@@ -56,6 +60,18 @@ def test_pairs_are_frozen():
     pair = MatchPair(1, 2, 0.5)
     with pytest.raises(AttributeError):
         pair.score = 0.9
+
+
+def test_pairs_are_slotted_and_survive_pickle_and_copy():
+    pair = MatchPair(1, 2, 0.5, round=3, rank=4)
+    assert not hasattr(pair, "__dict__")  # no per-pair dict to hold
+    for clone in (pickle.loads(pickle.dumps(pair)), copy.copy(pair),
+                  copy.deepcopy(pair)):
+        assert clone == pair and hash(clone) == hash(pair)
+    assert dataclasses.replace(pair, score=0.7) == MatchPair(1, 2, 0.7, 3, 4)
+    assert MatchPair(1, 2, 0.5) == MatchPair(1, 2, 0.5, round=0, rank=0)
+    assert repr(pair) == (
+        "MatchPair(function_id=1, object_id=2, score=0.5, round=3, rank=4)")
 
 
 def test_iteration_order_is_emission_order():

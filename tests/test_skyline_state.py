@@ -257,3 +257,72 @@ def test_first_dominators_wrong_width_rejected(highs):
     state.add(0, (0.5, 0.5, 0.5))
     with pytest.raises(DimensionalityError):
         state.first_dominators(highs)
+
+
+# ----------------------------------------------------------------------
+# dominated_members: the coordinate-sum skip against the unfiltered scan
+# ----------------------------------------------------------------------
+#: Ties, signed zeros, and sums that round (0.1 + 0.2 > 0.3).
+tie_coordinate = st.sampled_from(
+    [-0.0, 0.0, 0.1, 0.2, 0.3, 1 / 3, 0.5, 2 / 3, 0.7, 1.0])
+
+
+def unfiltered_dominated_members(members, point):
+    """Every member weakly dominated by ``point``, in admission order."""
+    return [object_id for object_id, member in members.items()
+            if all(m <= p for m, p in zip(member, point))]
+
+
+def assert_dominated_members_exact(state, members, probes):
+    for probe in probes:
+        expected = unfiltered_dominated_members(members, probe)
+        assert state.dominated_members(probe) == expected
+        assert state.dominated_members(np.asarray(probe)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.integers(min_value=1, max_value=4), data=st.data())
+def test_dominated_members_skip_equals_the_unfiltered_scan(dims, data):
+    vectors = st.tuples(*([tie_coordinate] * dims))
+    steps = data.draw(st.lists(
+        st.tuples(st.sampled_from(["add", "add", "remove", "query"]),
+                  vectors),
+        max_size=60))
+    state = SkylineState(dims)
+    members = {}
+    seen = []
+    for object_id, (op, point) in enumerate(steps):
+        seen.append(point)
+        if op == "add":
+            state.add(object_id, point)
+            members[object_id] = point
+        elif op == "remove" and members:
+            victim = data.draw(st.sampled_from(sorted(members)))
+            state.remove(victim)
+            del members[victim]
+        else:
+            assert_dominated_members_exact(state, members, [point])
+    # Every point drawn, members' own points (equal sums) included.
+    assert_dominated_members_exact(state, members, seen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_dominated_members_skip_is_exact_after_compaction(data):
+    vectors = st.tuples(tie_coordinate, tie_coordinate, tie_coordinate)
+    first = data.draw(st.lists(vectors, min_size=64, max_size=64))
+    dropped = data.draw(st.sets(st.integers(0, 63), min_size=32))
+    later = data.draw(st.lists(vectors, min_size=1, max_size=20))
+    probes = data.draw(st.lists(vectors, max_size=20))
+    state = SkylineState(3)
+    for object_id, point in enumerate(first):
+        state.add(object_id, point)
+    for object_id in dropped:
+        state.remove(object_id)
+    # The 65th row finds the index full and half tombstones: compaction.
+    for object_id, point in enumerate(later, start=64):
+        state.add(object_id, point)
+    assert state._size == 64 - len(dropped) + len(later)
+    members = {i: p for i, p in enumerate(first) if i not in dropped}
+    members.update(enumerate(later, start=64))
+    assert_dominated_members_exact(state, members, probes + first + later)
