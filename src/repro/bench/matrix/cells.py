@@ -164,7 +164,7 @@ def _timed_match(config: MatchingConfig, objects: Dataset,
         return {
             "cpu_seconds": elapsed,
             "io_accesses": float(result.io_accesses),
-            "pairs": float(len(result.pairs)),
+            "pairs": float(len(result)),
             "shards_used": float(
                 result.stats.get("shards_used", config.shards)
             ),

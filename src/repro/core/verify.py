@@ -49,20 +49,17 @@ def find_blocking_pairs(matching: Matching, objects: Dataset,
         return []
     weights, fids = weights_matrix(list(functions))
     matrix = objects.matrix
-    object_ids = objects.ids
     scores = weights @ matrix.T  # |F| x |O|
 
     function_current = np.full(len(fids), -np.inf)
     by_fid = {fid: row for row, fid in enumerate(fids)}
     functions_by_fid = {f.fid: f for f in functions}
+    object_current = np.full(len(objects), -np.inf)
     for pair in matching.pairs:
         row = by_fid.get(pair.function_id)
         if row is not None:
             function_current[row] = pair.score
-    object_current = np.full(len(object_ids), -np.inf)
-    by_oid = {object_id: col for col, object_id in enumerate(object_ids)}
-    for pair in matching.pairs:
-        col = by_oid.get(pair.object_id)
+        col = objects.row_of(pair.object_id)
         if col is not None:
             object_current[col] = pair.score
 
@@ -73,7 +70,10 @@ def find_blocking_pairs(matching: Matching, objects: Dataset,
     # Matched-together cells are not blocking pairs (score equals both
     # currents, so the strict margin already excludes them).
     violations: List[BlockingPair] = []
+    if not candidate_mask.any():
+        return violations
     rows, cols = np.nonzero(candidate_mask)
+    object_ids = objects.ids
     for row, col in zip(rows, cols):
         fid = fids[row]
         object_id = object_ids[col]

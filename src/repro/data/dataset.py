@@ -149,9 +149,12 @@ class Dataset:
     def __contains__(self, object_id: int) -> bool:
         return object_id in self._by_id
 
+    def row_of(self, object_id: int) -> Optional[int]:
+        """The row of ``object_id`` in :attr:`matrix` (``None`` if absent)."""
+        return self._by_id.get(object_id)
+
     def __iter__(self) -> Iterator[Tuple[int, Point]]:
-        for object_id, row in zip(self._ids, self._matrix):
-            yield object_id, tuple(row.tolist())
+        return zip(self._ids, map(tuple, self._matrix.tolist()))
 
     def items(self) -> Iterator[Tuple[int, Point]]:
         """Alias of iteration: yields ``(object_id, point)``."""

@@ -48,16 +48,15 @@ Examples
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.result import MatchPair
 from ..data import Dataset
 from ..errors import DimensionalityError, MatchingError
 from ..prefs import LinearPreference
 from ..prefs.functions import canonical_score_matrix, weights_matrix
-from .result import MatchResult
+from .result import PAIR_DTYPE, MatchResult
 
 
 def is_linear_workload(functions: Sequence) -> bool:
@@ -83,7 +82,7 @@ def _validate_workload(functions: Sequence, dims: int) -> None:
 
 
 def greedy_pairs_from_scores(scores: np.ndarray, fids: Sequence[int],
-                             object_ids: Sequence[int]) -> List[MatchPair]:
+                             object_ids: Sequence[int]) -> np.ndarray:
     """The canonical greedy matching, read off a dense score matrix.
 
     Repeatedly emit the globally best remaining cell under the shared
@@ -92,35 +91,48 @@ def greedy_pairs_from_scores(scores: np.ndarray, fids: Sequence[int],
     once. With canonical scores this is exactly
     :func:`repro.core.greedy_reference_matching`, computed from
     precomputed rows instead of per-pair ``score()`` calls.
+
+    Only each row's best ``k = min(F, |O|)`` cells can be emitted: when
+    the greedy takes cell ``(r, c)``, function ``r`` is still free, so at
+    most ``F - 1`` objects are taken, and every cell of row ``r`` ranked
+    above ``(r, c)`` holds one of them. So each row keeps the cells at or
+    above its ``k``-th best score (every tie at that cut included), and
+    only those candidates are sorted.
+
+    Returns the emitted pairs as :data:`~repro.engine.result.PAIR_DTYPE`
+    records in emission order: pair ``i`` has round ``i`` and rank ``i``.
     """
     num_functions, num_objects = scores.shape
     limit = min(num_functions, num_objects)
-    pairs: List[MatchPair] = []
     if limit == 0:
-        return pairs
-    flat = scores.ravel()
-    fid_keys = np.repeat(np.asarray(fids, dtype=np.int64), num_objects)
-    oid_keys = np.tile(np.asarray(object_ids, dtype=np.int64),
-                       num_functions)
+        return np.empty(0, dtype=PAIR_DTYPE)
+    cut = num_objects - limit
+    kth_best = np.partition(scores, cut, axis=1)[:, cut]
+    rows, columns = np.nonzero(scores >= kth_best[:, None])
+    values = scores[rows, columns]
+    fid_keys = np.asarray(fids, dtype=np.int64)[rows]
+    oid_keys = np.asarray(object_ids, dtype=np.int64)[columns]
     # lexsort: last key is primary. Negating the scores sorts them
     # descending; equal scores (including -0.0 vs 0.0) fall through to
     # fid then oid ascending, the library-wide tie discipline.
-    order = np.lexsort((oid_keys, fid_keys, -flat))
-    function_taken = np.zeros(num_functions, dtype=bool)
-    object_taken = np.zeros(num_objects, dtype=bool)
-    for index in order:
-        row, column = divmod(int(index), num_objects)
-        if function_taken[row] or object_taken[column]:
+    order = np.lexsort((oid_keys, fid_keys, -values))
+    function_taken: Set[int] = set()
+    object_taken: Set[int] = set()
+    emitted: List[int] = []
+    for index, row, column in zip(order.tolist(), rows[order].tolist(),
+                                  columns[order].tolist()):
+        if row in function_taken or column in object_taken:
             continue
-        function_taken[row] = True
-        object_taken[column] = True
-        pairs.append(
-            MatchPair(int(fid_keys[index]), int(oid_keys[index]),
-                      float(flat[index]),
-                      round=len(pairs), rank=len(pairs))
-        )
-        if len(pairs) == limit:
+        function_taken.add(row)
+        object_taken.add(column)
+        emitted.append(index)
+        if len(emitted) == limit:
             break
+    pairs = np.empty(limit, dtype=PAIR_DTYPE)
+    pairs["function_id"] = fid_keys[emitted]
+    pairs["object_id"] = oid_keys[emitted]
+    pairs["score"] = values[emitted]
+    pairs["round"] = pairs["rank"] = np.arange(limit)
     return pairs
 
 
@@ -162,7 +174,11 @@ def linear_batch_results(objects: Dataset,
     # Amortize the one scoring pass over the workloads by row share.
     total_rows = max(1, len(stacked))
 
-    object_ids = objects.ids
+    object_ids = np.asarray(objects.ids, dtype=np.int64)
+    # Served results are held for as long as a cache or caller likes, so
+    # results with equally many pairs share one unmatched-object count
+    # and one stats dict.
+    shared: Dict[int, Tuple[int, Dict[str, float]]] = {}
     results: List[MatchResult] = []
     row = 0
     for functions in workloads:
@@ -173,23 +189,28 @@ def linear_batch_results(objects: Dataset,
             rows, [function.fid for function in functions], object_ids,
         )
         greedy_seconds = time.perf_counter() - start
-        matched = {pair.function_id for pair in pairs}
+        matched = set(pairs["function_id"].tolist())
         unmatched = [
             function.fid for function in functions
             if function.fid not in matched
         ]
+        count = len(pairs)
+        if count not in shared:
+            shared[count] = (len(objects) - count,
+                             {"rounds": count,
+                              "batched_workloads": len(workloads)})
+        unmatched_objects, stats = shared[count]
         results.append(
             MatchResult(
-                pairs,
+                pairs.tobytes(),
                 unmatched_functions=unmatched,
-                unmatched_objects_count=len(objects) - len(pairs),
+                unmatched_objects_count=unmatched_objects,
                 algorithm=algorithm,
                 backend=backend,
                 cpu_seconds=greedy_seconds
                 + scoring_seconds * (len(functions) / total_rows),
                 seed=seed,
-                stats={"rounds": len(pairs),
-                       "batched_workloads": len(workloads)},
+                stats=stats,
             )
         )
     return results

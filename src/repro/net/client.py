@@ -169,11 +169,17 @@ class MatchingClient:
                     outstanding.discard(message["id"])
                     responses[message["id"]] = message
             return [responses[message_id] for message_id in wanted]
-        except (OSError, NetworkError):
+        except NetworkError:
             # The stream is no longer frame-aligned; drop it so the
             # next call reconnects cleanly.
             self.close()
             raise
+        except OSError as error:
+            # A timeout or reset: the same, as the typed error.
+            self.close()
+            raise NetworkError(
+                f"exchange with {self.host}:{self.port} failed: {error!r}"
+            ) from error
 
     def _call(self, op: str,
               payload: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

@@ -44,11 +44,11 @@ repro.errors.CodecError: request function 0 is not an exact ...
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Any, Dict, List, Optional
 
-from ..core.result import MatchPair
 from ..engine.request import MatchingRequest
-from ..engine.result import MatchResult
+from ..engine.result import PAIR_RECORD, MatchResult
 from ..errors import CodecError
 from ..prefs import LinearPreference
 from ..storage import IOSnapshot
@@ -130,16 +130,14 @@ def encode_result(result: MatchResult  # lint: encodes=MatchResult
                   ) -> Dict[str, Any]:
     """A :class:`MatchResult` as a JSON-serializable dict.
 
-    ``capacities`` travels as a list of pairs (JSON objects would
-    stringify the integer object ids); the I/O snapshot as a flat dict
-    of its six counters.
+    Each pair travels as ``[function_id, object_id, score, round,
+    rank]``, read straight off the result's packed records;
+    ``capacities`` as a list of pairs (JSON objects would stringify the
+    integer object ids); the I/O snapshot as a flat dict of its six
+    counters.
     """
     return {
-        "pairs": [
-            [pair.function_id, pair.object_id, pair.score,
-             pair.round, pair.rank]
-            for pair in result.pairs
-        ],
+        "pairs": list(PAIR_RECORD.iter_unpack(result.packed)),
         "unmatched_functions": list(result.unmatched_functions),
         "unmatched_objects_count": result.unmatched_objects_count,
         "algorithm": result.algorithm,
@@ -161,14 +159,15 @@ def encode_result(result: MatchResult  # lint: encodes=MatchResult
 
 def decode_result(payload: Dict[str, Any]  # lint: decodes=MatchResult
                   ) -> MatchResult:
-    """The inverse of :func:`encode_result` (identity round trip)."""
+    """The inverse of :func:`encode_result` (identity round trip).
+
+    Each pair is packed straight into the result's records, so it must
+    hold exactly five numbers: ids that fit int64, a score, and a round
+    and rank that fit int32.
+    """
     raw_pairs = _require(payload, "pairs", "result")
     try:
-        pairs = [
-            MatchPair(function_id=int(fid), object_id=int(oid),
-                      score=float(score), round=int(rnd), rank=int(rank))
-            for fid, oid, score, rnd, rank in raw_pairs
-        ]
+        pairs = b"".join(starmap(PAIR_RECORD.pack, raw_pairs))
         capacities: Optional[Dict[int, int]] = None
         if payload.get("capacities") is not None:
             capacities = {
@@ -194,7 +193,7 @@ def decode_result(payload: Dict[str, Any]  # lint: decodes=MatchResult
             io=io,
             cpu_seconds=float(payload.get("cpu_seconds", 0.0)),
             seed=payload.get("seed"),
-            stats=payload.get("stats"),
+            stats=dict(payload.get("stats") or {}),
         )
     except CodecError:
         raise

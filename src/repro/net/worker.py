@@ -241,7 +241,9 @@ class RemoteExecutor:
 
         A cached connection that fails is dropped and re-opened once —
         persistent connections go stale between runs; a freshly-opened
-        one that fails is a real worker failure and propagates.
+        one that fails is a real worker failure and raises
+        :class:`~repro.errors.NetworkError` (chained from the socket
+        error, for a timeout or reset).
         """
         with self._locks[worker_index]:
             retried = worker_index in self._sockets
@@ -256,11 +258,18 @@ class RemoteExecutor:
                             f"closed the connection mid-exchange"
                         )
                     return response
-                except (OSError, NetworkError):
+                except (OSError, NetworkError) as error:
                     self._drop(worker_index)
-                    if not retried:
+                    if retried:
+                        retried = False
+                    elif isinstance(error, NetworkError):
                         raise
-                    retried = False
+                    else:
+                        raise NetworkError(
+                            f"exchange with worker "
+                            f"{self.workers[worker_index]} failed: "
+                            f"{error!r}"
+                        ) from error
 
     # ------------------------------------------------------------------
     # Execution

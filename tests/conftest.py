@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core import MatchPair
 from repro.data import generate_independent
 from repro.geometry import MBR
 from repro.prefs import canonical_score, tight_threshold
@@ -117,3 +119,42 @@ def reference_reverse_top1(index, point, stats=None):
             if best_score > bound + TA_STOP_MARGIN:
                 break
     return best_fid, best_score
+
+
+def reference_greedy_pairs(scores, fids, object_ids):
+    """The canonical greedy by a full lexsort of every cell.
+
+    This is the greedy :func:`repro.engine.batch.greedy_pairs_from_scores`
+    replaced with a sort of each row's top-``min(F, |O|)`` candidates:
+    every one of the F x |O| cells is sorted by (score desc, fid asc,
+    oid asc), and the cells are taken in that order whenever both their
+    function and their object are still free. Returns the pairs as
+    :class:`MatchPair` objects with ``round`` and ``rank`` equal to the
+    emission index.
+    """
+    num_functions, num_objects = scores.shape
+    limit = min(num_functions, num_objects)
+    pairs = []
+    if limit == 0:
+        return pairs
+    flat = scores.ravel()
+    fid_keys = np.repeat(np.asarray(fids, dtype=np.int64), num_objects)
+    oid_keys = np.tile(np.asarray(object_ids, dtype=np.int64),
+                       num_functions)
+    order = np.lexsort((oid_keys, fid_keys, -flat))
+    function_taken = np.zeros(num_functions, dtype=bool)
+    object_taken = np.zeros(num_objects, dtype=bool)
+    for index in order:
+        row, column = divmod(int(index), num_objects)
+        if function_taken[row] or object_taken[column]:
+            continue
+        function_taken[row] = True
+        object_taken[column] = True
+        pairs.append(
+            MatchPair(int(fid_keys[index]), int(oid_keys[index]),
+                      float(flat[index]),
+                      round=len(pairs), rank=len(pairs))
+        )
+        if len(pairs) == limit:
+            break
+    return pairs

@@ -101,3 +101,42 @@ def test_empty_inputs():
     assert find_blocking_pairs(Matching([]), objects, []) == []
     reference = greedy_reference_matching(objects, [])
     assert verify_stable_matching(reference, objects, [])
+
+
+def test_a_planted_blocking_pair_is_rejected_on_sparse_ids():
+    """Swap the objects of two matched functions in a served result on a
+    catalog whose ids are not its rows: the first function's best pair
+    now blocks, and verification must say so through the id map."""
+    import repro
+
+    base = generate_independent(400, 3, seed=174)
+    objects = Dataset(base.matrix, ids=[7 + 13 * row for row in
+                                        range(len(base))][::-1])
+    functions = generate_preferences(16, 3, seed=175)
+    result = repro.match(objects, functions, backend="memory")
+    assert verify_stable_matching(result.to_matching(), objects, functions)
+    first, second = result.pairs[:2]  # the two best pairs, in order
+    by_fid = {f.fid: f for f in functions}
+    planted = Matching(
+        [MatchPair(first.function_id, second.object_id,
+                   by_fid[first.function_id].score(
+                       objects.vector(second.object_id))),
+         MatchPair(second.function_id, first.object_id,
+                   by_fid[second.function_id].score(
+                       objects.vector(first.object_id)))]
+        + result.pairs[2:],
+        unmatched_functions=result.unmatched_functions,
+    )
+    blocking = find_blocking_pairs(planted, objects, functions,
+                                   limit=len(functions) * len(objects))
+    assert (first.function_id, first.object_id) in {
+        (b.function_id, b.object_id) for b in blocking}
+    assert not verify_stable_matching(planted, objects, functions)
+
+
+def test_dataset_iteration_yields_ids_and_point_tuples():
+    objects = Dataset([[0.25, 0.5], [1.0, -0.0]], ids=[9, 4])
+    assert list(objects) == [(9, (0.25, 0.5)), (4, (1.0, -0.0))]
+    assert list(objects.items()) == list(objects)
+    assert objects.row_of(4) == 1 and objects.row_of(5) is None
+    assert list(Dataset([[0.5]])) == [(0, (0.5,))]
