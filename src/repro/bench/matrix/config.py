@@ -31,7 +31,7 @@ Grid kinds and their axes:
     rewind check. Axes: ``scenario``, ``backend``.
 ``net``
     In-process ``submit_many`` vs the same stream served by a
-    ``python -m repro.net.server`` subprocess over the loopback.
+    ``python -m repro.net server`` subprocess over the loopback.
     Axis: ``batch``.
 
 Examples

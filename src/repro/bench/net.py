@@ -5,7 +5,7 @@ loopback (never in-thread stubs — the point is to price the whole wire:
 JSON codec, framing, asyncio dispatch, and a second Python process):
 
 ``matching protocol``
-    A ``python -m repro.net.server`` subprocess serves the same
+    A ``python -m repro.net server`` subprocess serves the same
     workload stream that an in-process ``MatchingService.submit_many``
     answers locally (the subprocess regenerates the identical dataset
     from the generator seed — the generators are deterministic). The
@@ -13,7 +13,7 @@ JSON codec, framing, asyncio dispatch, and a second Python process):
     in-process rate, and every served answer is verified pair-identical
     to the local one *before* any rate is reported.
 ``remote shard workers``
-    A ``python -m repro.net.worker`` subprocess executes a sharded
+    A ``python -m repro.net worker`` subprocess executes a sharded
     matching via ``executor="remote"``; the result is verified
     pair-identical to ``executor="serial"`` on the same instance.
 
@@ -185,7 +185,7 @@ def run_net_point(n_objects: int, batch_size: int = NET_BATCH_SIZE,
         inproc_seconds = time.perf_counter() - start
 
     process, host, port = spawn_listening([
-        sys.executable, "-m", "repro.net.server",
+        sys.executable, "-m", "repro.net", "server",
         "--objects", str(n_objects), "--dims", str(dims),
         "--seed", str(seed), "--algorithm", "sb",
         "--backend", "memory",
@@ -242,7 +242,7 @@ def run_remote_smoke(n_objects: int, shards: int = 3, dims: int = 4,
     serial_seconds = time.perf_counter() - start
 
     process, host, port = spawn_listening([
-        sys.executable, "-m", "repro.net.worker",
+        sys.executable, "-m", "repro.net", "worker",
     ])
     try:
         start = time.perf_counter()

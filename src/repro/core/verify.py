@@ -73,10 +73,10 @@ def find_blocking_pairs(matching: Matching, objects: Dataset,
     if not candidate_mask.any():
         return violations
     rows, cols = np.nonzero(candidate_mask)
-    object_ids = objects.ids
+    object_ids = objects.id_array
     for row, col in zip(rows, cols):
         fid = fids[row]
-        object_id = object_ids[col]
+        object_id = int(object_ids[col])
         # Confirm with the canonical arithmetic.
         function = functions_by_fid[fid]
         exact = function.score(objects.vector(object_id))

@@ -9,13 +9,25 @@ with :meth:`Dataset.from_raw`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DatasetError
 
 Point = Tuple[float, ...]
+
+
+def _id_array(ids) -> np.ndarray:
+    """``ids`` as a new int64 array: integer arrays convert in numpy,
+    anything else through ``int()`` per id."""
+    if isinstance(ids, np.ndarray) and ids.ndim == 1 \
+            and np.can_cast(ids.dtype, np.int64):
+        return ids.astype(np.int64)
+    try:
+        return np.array([int(i) for i in ids], dtype=np.int64)
+    except OverflowError:
+        raise DatasetError("object ids must fit in int64") from None
 
 
 class Dataset:
@@ -26,8 +38,9 @@ class Dataset:
     vectors:
         Array-like of shape ``(n, dims)`` with values in ``[0, 1]``.
     ids:
-        Optional explicit object ids (default ``0 … n-1``). Must be unique
-        and non-negative.
+        Optional explicit object ids (default ``0 … n-1``): a sequence or
+        an integer array. Must be unique, non-negative and fit in int64;
+        they are stored once, as the int64 array :attr:`id_array`.
     name:
         Optional label used in reports.
     """
@@ -49,21 +62,23 @@ class Dataset:
         self._matrix = matrix
         self.name = name
         if ids is None:
-            self._ids = list(range(matrix.shape[0]))
+            id_array = np.arange(matrix.shape[0], dtype=np.int64)
         else:
-            id_list = [int(i) for i in ids]
-            if len(id_list) != matrix.shape[0]:
+            id_array = _id_array(ids)
+            if len(id_array) != matrix.shape[0]:
                 raise DatasetError(
-                    f"{len(id_list)} ids for {matrix.shape[0]} vectors"
+                    f"{len(id_array)} ids for {matrix.shape[0]} vectors"
                 )
-            if len(set(id_list)) != len(id_list):
+            ascending = bool((id_array[1:] > id_array[:-1]).all())
+            if not ascending and len(np.unique(id_array)) != len(id_array):
                 raise DatasetError("object ids must be unique")
-            if any(i < 0 for i in id_list):
+            if len(id_array) and id_array.min() < 0:
                 raise DatasetError("object ids must be non-negative")
-            self._ids = id_list
-        self._by_id = {
-            object_id: row for row, object_id in enumerate(self._ids)
-        }
+        id_array.flags.writeable = False
+        self._ids = id_array
+        # id -> row, built on the first lookup: many datasets (restaged
+        # sessions, benchmark catalogs) are only ever scanned.
+        self._by_id: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -126,7 +141,20 @@ class Dataset:
 
     @property
     def ids(self) -> List[int]:
-        return list(self._ids)
+        """The object ids, row order, as a new list."""
+        return self._ids.tolist()
+
+    @property
+    def id_array(self) -> np.ndarray:
+        """Read-only int64 view of the object ids, row order."""
+        view = self._ids.view()
+        view.flags.writeable = False
+        return view
+
+    def _rows(self) -> Dict[int, int]:
+        if self._by_id is None:
+            self._by_id = dict(zip(self._ids.tolist(), range(len(self._ids))))
+        return self._by_id
 
     @property
     def matrix(self) -> np.ndarray:
@@ -138,7 +166,7 @@ class Dataset:
     def vector(self, object_id: int) -> Point:
         """The feature tuple of one object."""
         try:
-            row = self._by_id[object_id]
+            row = self._rows()[object_id]
         except KeyError:
             raise DatasetError(f"unknown object id {object_id}") from None
         return tuple(self._matrix[row].tolist())
@@ -147,14 +175,14 @@ class Dataset:
         return int(self._matrix.shape[0])
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._by_id
+        return object_id in self._rows()
 
     def row_of(self, object_id: int) -> Optional[int]:
         """The row of ``object_id`` in :attr:`matrix` (``None`` if absent)."""
-        return self._by_id.get(object_id)
+        return self._rows().get(object_id)
 
     def __iter__(self) -> Iterator[Tuple[int, Point]]:
-        return zip(self._ids, map(tuple, self._matrix.tolist()))
+        return zip(self._ids.tolist(), map(tuple, self._matrix.tolist()))
 
     def items(self) -> Iterator[Tuple[int, Point]]:
         """Alias of iteration: yields ``(object_id, point)``."""
@@ -163,7 +191,8 @@ class Dataset:
     def subset(self, ids: Iterable[int], name: Optional[str] = None) -> "Dataset":
         """A new dataset restricted to ``ids`` (order preserved)."""
         id_list = list(ids)
-        rows = [self._by_id[i] for i in id_list]
+        by_id = self._rows()
+        rows = [by_id[i] for i in id_list]
         return Dataset(
             self._matrix[rows], ids=id_list,
             name=name if name is not None else self.name,
@@ -180,7 +209,7 @@ class Dataset:
         rows = rng.choice(len(self), size=n, replace=False)
         rows.sort()
         return Dataset(
-            self._matrix[rows], ids=[self._ids[r] for r in rows],
+            self._matrix[rows], ids=self._ids[rows],
             name=name if name is not None else f"{self.name}-sample{n}",
         )
 

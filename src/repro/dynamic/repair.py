@@ -149,6 +149,16 @@ class MatchedPairsIndex:
         return self._ids, self._points[:size], self._held[:size]
 
 
+def _search(ids: np.ndarray, keys: np.ndarray,
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Each key's row in the ascending ``ids`` (its insertion point when
+    absent), and whether ``ids`` holds it there."""
+    rows = np.searchsorted(ids, keys)
+    held = rows < len(ids)
+    held[held] = ids[rows[held]] == keys[held]
+    return rows, held
+
+
 class RepairEngine:
     """Event-at-a-time maintenance of the canonical stable matching."""
 
@@ -160,6 +170,10 @@ class RepairEngine:
         self.stats = RepairStats()
         #: Surviving objects (logical truth; the tree may lag behind).
         self.points: Dict[int, Point] = dict(problem.objects.items())
+        # The last dataset() snapshot, and the net object changes since:
+        # id -> its new point, or None once deleted.
+        self._snapshot: Optional[Dataset] = None
+        self._changes: Dict[int, Optional[Point]] = {}
         #: Surviving preference functions.
         self.functions: Dict[int, LinearPreference] = {
             function.fid: function for function in problem.functions
@@ -220,8 +234,52 @@ class RepairEngine:
         ]
 
     def dataset(self) -> Dataset:
-        """The surviving objects as an immutable :class:`Dataset`."""
-        return Dataset.from_mapping(self.points, self.dims, name="session")
+        """The surviving objects as an immutable :class:`Dataset`.
+
+        Ids ascend, exactly as ``Dataset.from_mapping(self.points)``
+        gives them. The first call builds from the mapping; later calls
+        apply the net changes since the last snapshot to its id array and
+        matrix, so a restage costs Python work per event, not per object.
+        """
+        if self._snapshot is None:
+            self._snapshot = Dataset.from_mapping(self.points, self.dims,
+                                                  name="session")
+        elif self._changes:
+            self._snapshot = self._apply_changes(self._snapshot)
+        self._changes.clear()
+        return self._snapshot
+
+    def _record(self, object_id: int, point: Optional[Point]) -> None:
+        """Note an object change for the next :meth:`dataset` call."""
+        self._changes[object_id] = point
+        if len(self._changes) > len(self.points):
+            # Applying more changes than there are objects costs more
+            # than a rebuild; this also bounds what an engine that is
+            # never snapshotted keeps.
+            self._snapshot = None
+            self._changes.clear()
+
+    def _apply_changes(self, snapshot: Dataset) -> Dataset:
+        ids, matrix = snapshot.id_array, snapshot.matrix
+        gone = np.array(sorted(object_id for object_id, point
+                               in self._changes.items() if point is None),
+                        dtype=np.int64)
+        rows, held = _search(ids, gone)
+        ids = np.delete(ids, rows[held])
+        matrix = np.delete(matrix, rows[held], axis=0)  # a writable copy
+        arrived = sorted((object_id, point) for object_id, point
+                         in self._changes.items() if point is not None)
+        new_ids = np.array([object_id for object_id, _ in arrived],
+                           dtype=np.int64)
+        points = np.array([point for _, point in arrived],
+                          dtype=np.float64).reshape(len(arrived), self.dims)
+        rows, held = _search(ids, new_ids)
+        # An id deleted and inserted again keeps its row, with its new
+        # point; the others go in at their sorted positions.
+        matrix[rows[held]] = points[held]
+        ids = np.insert(ids, rows[~held], new_ids[~held])
+        matrix = np.insert(matrix, rows[~held], points[~held], axis=0)
+        return Dataset(matrix, ids=ids, name="session")
 
     def function_list(self) -> List[LinearPreference]:
         return [self.functions[fid] for fid in sorted(self.functions)]
@@ -241,12 +299,14 @@ class RepairEngine:
             # new point from the pending buffer.
             self._sky = None
         self.points[object_id] = point
+        self._record(object_id, point)
         self.pending[object_id] = point
         self._free_object(object_id)
 
     def delete_object(self, object_id: int) -> None:
         self.stats.events += 1
         point = self.points.pop(object_id)
+        self._record(object_id, None)
         if object_id in self.pending:
             del self.pending[object_id]
         else:
@@ -374,9 +434,11 @@ class RepairEngine:
             if isinstance(event, InsertObject):
                 point = tuple(float(value) for value in event.point)
                 self.points[event.object_id] = point
+                self._record(event.object_id, point)
                 self.pending[event.object_id] = point
             elif isinstance(event, DeleteObject):
                 point = self.points.pop(event.object_id)
+                self._record(event.object_id, None)
                 if event.object_id in self.pending:
                     del self.pending[event.object_id]
                 else:

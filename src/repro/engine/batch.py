@@ -108,7 +108,10 @@ def greedy_pairs_from_scores(scores: np.ndarray, fids: Sequence[int],
         return np.empty(0, dtype=PAIR_DTYPE)
     cut = num_objects - limit
     kth_best = np.partition(scores, cut, axis=1)[:, cut]
-    rows, columns = np.nonzero(scores >= kth_best[:, None])
+    # The candidates in row-major order, as np.nonzero gives them; its
+    # 2-D form takes ten times as long as a flat index and a divmod.
+    rows, columns = np.divmod(
+        np.flatnonzero(scores >= kth_best[:, None]), num_objects)
     values = scores[rows, columns]
     fid_keys = np.asarray(fids, dtype=np.int64)[rows]
     oid_keys = np.asarray(object_ids, dtype=np.int64)[columns]
@@ -174,7 +177,7 @@ def linear_batch_results(objects: Dataset,
     # Amortize the one scoring pass over the workloads by row share.
     total_rows = max(1, len(stacked))
 
-    object_ids = np.asarray(objects.ids, dtype=np.int64)
+    object_ids = objects.id_array
     # Served results are held for as long as a cache or caller likes, so
     # results with equally many pairs share one unmatched-object count
     # and one stats dict.

@@ -356,7 +356,7 @@ def serve_listening(server: FrameServer) -> int:
 
     Binds, prints ``LISTENING <host> <port>`` on stdout for a parent
     process to parse, and serves; the ``main()`` of both
-    ``python -m repro.net.server`` and ``python -m repro.net.worker``.
+    ``python -m repro.net server`` and ``python -m repro.net worker``.
     """
     import asyncio
 

@@ -292,7 +292,7 @@ class ServerThread:
 # Subprocess entry point (benchmarks, deployment sketches)
 # ----------------------------------------------------------------------
 def main(argv: Optional[list] = None) -> int:
-    """``python -m repro.net.server``: serve a generated catalog.
+    """``python -m repro.net server``: serve a generated catalog.
 
     Regenerates the object set from ``--objects/--dims/--seed`` (the
     generators are deterministic, so a client that generates the same
@@ -305,7 +305,7 @@ def main(argv: Optional[list] = None) -> int:
     from ..data import generate_independent
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.net.server",
+        prog="python -m repro.net server",
         description="Serve matching requests over TCP "
                     "(length-prefixed JSON frames).",
     )
@@ -334,4 +334,7 @@ def main(argv: Optional[list] = None) -> int:
 if __name__ == "__main__":  # pragma: no cover - exercised as subprocess
     import sys
 
-    sys.exit(main())
+    # A second copy of this module (the package imported the first):
+    # refuse rather than serve from a second class.
+    sys.exit("python -m repro.net.server is not an entry point; "
+             "run python -m repro.net server")

@@ -347,7 +347,7 @@ class RemoteExecutor:
 # Subprocess entry point
 # ----------------------------------------------------------------------
 def main(argv: Optional[list] = None) -> int:
-    """``python -m repro.net.worker``: run one shard worker server.
+    """``python -m repro.net worker``: run one shard worker server.
 
     Binds, prints ``LISTENING <host> <port>`` for the parent process to
     parse, and serves until terminated.
@@ -355,7 +355,7 @@ def main(argv: Optional[list] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.net.worker",
+        prog="python -m repro.net worker",
         description="Execute repro.parallel shard tasks over TCP "
                     "(trusted-cluster pickle protocol).",
     )
@@ -371,4 +371,7 @@ def main(argv: Optional[list] = None) -> int:
 if __name__ == "__main__":  # pragma: no cover - exercised as subprocess
     import sys
 
-    sys.exit(main())
+    # A second copy of this module (the package imported the first):
+    # refuse rather than serve from a second class.
+    sys.exit("python -m repro.net.worker is not an entry point; "
+             "run python -m repro.net worker")

@@ -50,7 +50,7 @@ def hilbert_shards(objects: Dataset, shards: int) -> List[ShardArrays]:
     """
     if shards < 1:
         raise MatchingError(f"shards must be >= 1, got {shards}")
-    ids = np.asarray(objects.ids, dtype=np.int64)
+    ids = objects.id_array
     points = objects.matrix
     parts: List[ShardArrays] = []
     for chunk in np.array_split(hilbert_sort(points, ids), shards):

@@ -139,7 +139,7 @@ def _staged_problem(task: ShardTask):
                 _STAGED_SHARDS[task.staging_key] = cached
                 return cached, True
             return cached, False
-    dataset = Dataset(task.points, ids=task.ids.tolist(),
+    dataset = Dataset(task.points, ids=task.ids,
                       name=f"shard-{task.index}")
     problem = get_backend(task.config.backend).build_problem(
         dataset, list(task.functions), task.config

@@ -23,6 +23,11 @@ from ..errors import DimensionalityError, PreferenceError
 #: Tolerance on "weights sum to 1".
 WEIGHT_SUM_TOLERANCE = 1e-9
 
+#: Cells :func:`canonical_score_matrix` scores per row block (512 KiB of
+#: float64): a block and its product buffer stay in cache while every
+#: dimension is added in. Rows per block = ``max(1, SCORE_BLOCK_CELLS // |O|)``.
+SCORE_BLOCK_CELLS = 65_536
+
 
 def canonical_score(weights: Sequence[float], point: Sequence[float]) -> float:
     """The library-wide score expression: left-to-right ``sum(w_i * x_i)``."""
@@ -200,9 +205,24 @@ def canonical_score_matrix(weights: np.ndarray,
         raise DimensionalityError(
             weights.shape[1], points.shape[1], "points"
         )
-    scores = np.zeros((weights.shape[0], points.shape[0]))
-    for d in range(weights.shape[1] if points.shape[0] else 0):
-        scores += weights[:, d, None] * points[None, :, d]
+    num_functions, num_points = weights.shape[0], points.shape[0]
+    scores = np.zeros((num_functions, num_points))
+    if not num_functions or not num_points:
+        return scores
+    # Row blocks over a contiguous (D, |O|) copy of the points: each
+    # product lands in one reused buffer and is added into a block that
+    # starts at 0.0 (so a -0.0 product still sums to 0.0), in dimension
+    # order — the same ops on the same operands as the full-width loop.
+    columns = np.ascontiguousarray(points.T)
+    step = max(1, SCORE_BLOCK_CELLS // num_points)
+    buffer = np.empty((min(step, num_functions), num_points))
+    for start in range(0, num_functions, step):
+        block = scores[start:start + step]
+        product = buffer[:len(block)]
+        rows = weights[start:start + step]
+        for d in range(weights.shape[1]):
+            np.multiply(rows[:, d, None], columns[d], out=product)
+            block += product
     return scores
 
 

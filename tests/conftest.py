@@ -158,3 +158,19 @@ def reference_greedy_pairs(scores, fids, object_ids):
         if len(pairs) == limit:
             break
     return pairs
+
+
+def reference_score_matrix(weights, points):
+    """Canonical scores by the full-width loop.
+
+    This is the loop :func:`repro.prefs.canonical_score_matrix` replaced
+    with row blocks: a zeroed ``(F, |O|)`` matrix, and for each dimension
+    in order a full ``(F, |O|)`` product of the weight column and the
+    strided point column, added in.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    scores = np.zeros((weights.shape[0], points.shape[0]))
+    for d in range(weights.shape[1] if points.shape[0] else 0):
+        scores += weights[:, d, None] * points[None, :, d]
+    return scores

@@ -11,6 +11,8 @@ loudly, and malformed frames answer typed errors instead of hanging.
 """
 
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ import repro
 from repro.data import Dataset
 from repro.errors import (ConnectionRetriesExceededError, MatchingError,
                           NetworkError, PreferenceError)
+from repro.bench.net import _subprocess_env
 from repro.net import RemoteExecutor, ShardWorkerServer
 from repro.net.frames import connect_with_retry, recv_frame, send_frame
 from repro.net.server import ServerThread
@@ -222,7 +225,7 @@ def test_remote_executor_ping_and_close(worker_address):
 # The command-line entry point
 # ----------------------------------------------------------------------
 def test_worker_entry_point_serves_a_sharded_match():
-    # A real `python -m repro.net.worker` subprocess: it announces
+    # A real `python -m repro.net worker` subprocess: it announces
     # LISTENING, and its sharded results equal executor="serial" ones
     # (run_remote_smoke raises on any divergence).
     from repro.bench.net import run_remote_smoke
@@ -230,3 +233,37 @@ def test_worker_entry_point_serves_a_sharded_match():
     smoke = run_remote_smoke(n_objects=120, shards=3, dims=2, seed=5)
     assert smoke.verified
     assert (smoke.n_objects, smoke.shards) == (120, 3)
+
+
+def _run(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        env=_subprocess_env(), timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["server", "worker"])
+def test_entry_point_runs_one_copy_of_its_module(command):
+    # runpy warns when it must execute a module the package already
+    # imported, i.e. when the command would run a second copy of it.
+    done = _run("-W", "error::RuntimeWarning", "-m", "repro.net", command,
+                "--help")
+    assert done.returncode == 0, done.stderr
+    assert f"python -m repro.net {command}" in done.stdout
+    assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("module", ["server", "worker"])
+def test_old_entry_points_fail_and_name_the_new_one(module):
+    done = _run("-m", f"repro.net.{module}", "--help")
+    assert done.returncode != 0
+    assert f"python -m repro.net {module}" in done.stderr
+    assert "LISTENING" not in done.stdout
+
+
+def test_entry_point_without_a_command_prints_usage():
+    from repro.net.__main__ import main
+
+    assert main([]) == 2
+    assert main(["--help"]) == 0
+    assert main(["serve"]) == 2

@@ -151,6 +151,33 @@ def test_submit_many_partitions_hits_duplicates_and_misses():
         assert service.submit(c) is results[2]
 
 
+def test_small_vectorized_batches_run_inline_and_large_ones_split():
+    """Up to 16 distinct linear misses (churn-serve sends 8) are one
+    chunk on the calling thread; 32 are two chunks of 16 on the pool."""
+    objects = repro.generate_independent(n=200, dims=3, seed=77)
+    workloads = [generate_preferences(4, 3, seed=900 + s)
+                 for s in range(8 + 16 + 32)]
+    calls = []
+    with repro.MatchingService(objects, algorithm="sb", backend="memory",
+                               max_workers=2) as service:
+        run_chunk = service.prepared.run_vectorized_batch
+
+        def recording(chunk):
+            calls.append((threading.get_ident(), len(chunk)))
+            return run_chunk(chunk)
+
+        service.prepared.run_vectorized_batch = recording
+        service.submit_many(workloads[:8])
+        service.submit_many(workloads[8:24])
+        assert calls == [(threading.get_ident(), 8),
+                         (threading.get_ident(), 16)]
+        calls.clear()
+        service.submit_many(workloads[24:])
+        assert [size for _, size in calls] == [16, 16]
+        assert threading.get_ident() not in {ident for ident, _ in calls}
+        assert service.snapshot().vectorized_requests == len(workloads)
+
+
 def test_submit_many_respects_use_cache_and_priority():
     objects = repro.generate_independent(n=100, dims=2, seed=74)
     prefs = generate_preferences(4, 2, seed=75)
