@@ -322,8 +322,14 @@ def _run_throughput_cell(spec: CellSpec,
     batch = int(spec.axes["batch"])
     config = _serving_config(spec)
 
-    # Each mode gets a fresh service, so neither inherits the other's
-    # cache warmth: every request is a miss.
+    # Each mode gets a fresh service or plan, so none inherits another's
+    # cache warmth: every request is a miss. The tree loop runs the
+    # plan's own matcher (PreparedMatching.run), the path a service's
+    # misses took before the vectorized scorer answered them.
+    with MatchingPlan(config).prepare(objects) as prepared:
+        start = time.perf_counter()
+        tree = [prepared.run(functions) for functions in workloads]
+        tree_seconds = time.perf_counter() - start
     with MatchingService(objects, config) as service:
         start = time.perf_counter()
         looped = [service.submit(functions) for functions in workloads]
@@ -339,8 +345,8 @@ def _run_throughput_cell(spec: CellSpec,
         vectorized = int(service.snapshot().vectorized_requests)
 
     identity = all(
-        one.as_set() == other.as_set()
-        for one, other in zip(looped, batched)
+        one.as_set() == other.as_set() == third.as_set()
+        for one, other, third in zip(looped, batched, tree)
     ) and all(
         frozenset(result.as_set()) == ctx.reference_pairs(objects,
                                                           functions)
@@ -349,10 +355,14 @@ def _run_throughput_cell(spec: CellSpec,
     )
     looped_rps = len(workloads) / max(1e-9, looped_seconds)
     batched_rps = len(workloads) / max(1e-9, batched_seconds)
+    tree_rps = len(workloads) / max(1e-9, tree_seconds)
     metrics = {
         "looped_rps": looped_rps,
         "batched_rps": batched_rps,
+        "tree_rps": tree_rps,
         "speedup": batched_rps / max(1e-9, looped_rps),
+        "batched_vs_tree": batched_rps / max(1e-9, tree_rps),
+        "looped_vs_tree": looped_rps / max(1e-9, tree_rps),
         "vectorized_requests": float(vectorized),
         "vectorized_fraction": vectorized / max(1, len(workloads)),
         "n_requests": float(len(workloads)),

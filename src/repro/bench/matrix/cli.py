@@ -7,7 +7,7 @@
 artifacts, and optionally records or checks a trajectory::
 
     python -m repro.bench.matrix run --config smoke --out bench-matrix
-    python -m repro.bench.matrix run --config smoke --check BENCH_10.json
+    python -m repro.bench.matrix run --config smoke --check BENCH_26_smoke.json
     python -m repro.bench.matrix run --config smoke \\
         --write-trajectory BENCH_11.json --pr 11
 

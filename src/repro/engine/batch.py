@@ -23,11 +23,14 @@ Pair-identity with the tree path is *by construction*, not by luck:
 
 The fast path is gated conservatively: plain
 :class:`~repro.prefs.LinearPreference` workloads only (subclasses may
-score with state beyond the weight vector), non-capacitated configs
-only, and only for algorithms whose matchers advertise
-``supports_repair`` — the documented marker for "produces the canonical
-greedy matching over linear preferences". Everything else falls back to
-the per-request tree path.
+score with state beyond the weight vector), only for algorithms whose
+matchers advertise ``supports_repair`` — the documented marker for
+"produces the canonical greedy matching over linear preferences" — and
+only for workloads of at most
+:data:`~repro.engine.plan.MAX_VECTOR_CELLS` score cells, alone or in a
+batch. A capacitated plan scores its capacity-expanded objects and
+folds each pair back to the owning object (``owner=``), exactly as the
+tree path does. Everything else falls back to the per-request tree path.
 
 Examples
 --------
@@ -144,6 +147,8 @@ def linear_batch_results(objects: Dataset,
                          *, algorithm: str = "batched",
                          backend: str = "",
                          seed: Optional[int] = None,
+                         owner: Optional[np.ndarray] = None,
+                         capacities: Optional[Dict[int, int]] = None,
                          ) -> List[MatchResult]:
     """Match every workload against ``objects`` in one vectorized pass.
 
@@ -154,6 +159,14 @@ def linear_batch_results(objects: Dataset,
     workload through any canonical matcher, and are returned in workload
     order. ``algorithm``/``backend``/``seed`` are recorded as the
     results' provenance.
+
+    For a capacitated matching, ``objects`` are the capacity-expanded
+    virtual objects (dense ids ``0..n-1``, as
+    :func:`~repro.core.capacity.expand_capacities` stages them),
+    ``owner`` maps each virtual id to its object's id, and
+    ``capacities`` is the ``{object_id: units}`` map every result
+    shares. The greedy breaks ties on virtual ids, as a tree matcher on
+    the expanded objects does, and each pair then reports its owner.
     """
     workloads = [list(functions) for functions in workloads]
     dims = objects.dims
@@ -192,6 +205,8 @@ def linear_batch_results(objects: Dataset,
             rows, [function.fid for function in functions], object_ids,
         )
         greedy_seconds = time.perf_counter() - start
+        if owner is not None:
+            pairs["object_id"] = owner[pairs["object_id"]]
         matched = set(pairs["function_id"].tolist())
         unmatched = [
             function.fid for function in functions
@@ -210,6 +225,7 @@ def linear_batch_results(objects: Dataset,
                 unmatched_objects_count=unmatched_objects,
                 algorithm=algorithm,
                 backend=backend,
+                capacities=capacities,
                 cpu_seconds=greedy_seconds
                 + scoring_seconds * (len(functions) / total_rows),
                 seed=seed,

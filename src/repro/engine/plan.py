@@ -48,7 +48,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.capacity import expand_capacities
 from ..core.problem import MatchingProblem
@@ -75,6 +77,16 @@ _SHARD_COUNTERS = (
 
 #: Process-wide staging-epoch tokens for the worker-side shard caches.
 _STAGING_TOKENS = itertools.count(1)
+
+#: The most score cells (functions x staged objects) one workload may
+#: have and still take the vectorized scorer: 2**21 cells are 16 MiB of
+#: float64 scores. The scorer costs the same per cell alone or batched,
+#: while the tree matchers' traversal grows sublinearly with |O|, so past
+#: some size a workload is cheaper on the tree (at 6.4M cells the two
+#: are about even on independent 4-D data, and a paper-scale 100,000 x
+#: 5,000 workload would allocate 4 GB of scores).
+#: ``benchmarks/lone_miss_crossover.py`` measures the crossover.
+MAX_VECTOR_CELLS = 2 ** 21
 
 
 class _DeferredProblem:
@@ -325,12 +337,20 @@ class PreparedMatching:
         the vectorized scorer reads only the objects.
         """
         config = self.plan.config
-        self._virtual_owner: Optional[List[int]] = None
+        #: Each virtual object's owner id (an int64 array indexed by
+        #: virtual id) and the ``{object_id: units}`` map that every
+        #: capacitated result of this staging shares; ``None`` when the
+        #: plan is 1-1.
+        self._virtual_owner: Optional[np.ndarray] = None
+        self._capacities: Optional[Dict[int, int]] = None
         expanded = objects
         if config.capacities is not None:
-            expanded, self._virtual_owner = expand_capacities(
-                objects, config.capacities
-            )
+            expanded, owner = expand_capacities(objects, config.capacities)
+            self._virtual_owner = np.asarray(owner, dtype=np.int64)
+            self._capacities = {
+                object_id: int(config.capacities.get(object_id, 1))
+                for object_id in objects.ids
+            }
         self._expanded = expanded
         self._parts: Optional[list] = None
         self._problem = None
@@ -474,19 +494,22 @@ class PreparedMatching:
     def vectorized_eligible(self, functions: Sequence) -> bool:
         """Whether a workload may use the linear batch-scoring fast path.
 
-        Three gates, all conservative: the plan must be non-capacitated
-        (fold-back belongs to the per-request path), the
-        algorithm must advertise ``supports_repair`` — the documented
-        marker for matchers that produce the canonical greedy matching
-        over linear preferences, which is exactly what the vectorized
-        scorer computes — and every function must be *exactly* a
-        :class:`~repro.prefs.LinearPreference`.
+        Three gates: the algorithm must advertise ``supports_repair`` —
+        the documented marker for matchers that produce the canonical
+        greedy matching over linear preferences, which is exactly what
+        the vectorized scorer computes — the workload must have at most
+        :data:`MAX_VECTOR_CELLS` score cells against the staged
+        (capacity-expanded) objects, and every function must be
+        *exactly* a :class:`~repro.prefs.LinearPreference`. The gate
+        counts a workload alone, however many arrive with it. It only
+        picks a path: a count read before a pending restage may route a
+        workload differently, never answer it differently.
         """
         from .batch import is_linear_workload
 
-        if self.plan.config.capacities is not None:
-            return False
         if not algorithm_supports_repair(self.plan.algorithm):
+            return False
+        if len(functions) * len(self._expanded) > MAX_VECTOR_CELLS:
             return False
         return is_linear_workload(functions)
 
@@ -497,8 +520,10 @@ class PreparedMatching:
         Every workload must satisfy :meth:`vectorized_eligible`. The
         staged object matrix is snapshotted under the serve lock (after
         any pending restage), then scored outside it — the scorer only
-        reads, so concurrent batches can overlap. Results are
-        pair-identical to :meth:`run` (bitwise-equal scores, same
+        reads, so concurrent batches can overlap. A capacitated plan
+        scores the capacity-expanded objects and folds each pair's
+        virtual object back to its owner, as the tree path does. Results
+        are pair-identical to :meth:`run` (bitwise-equal scores, same
         pairs); provenance records the batched execution
         (``algorithm="batched-<plan algorithm>"``). The result cache is
         *not* consulted or filled here — the batched entry points own
@@ -511,11 +536,13 @@ class PreparedMatching:
         with self._serve_lock:
             self._ensure_fresh()
             expanded = self._expanded
+            owner, capacities = self._virtual_owner, self._capacities
         return linear_batch_results(
             expanded, workloads,
             algorithm=f"batched-{self.plan.algorithm}",
             backend=self.plan.backend_name,
             seed=self.plan.config.seed,
+            owner=owner, capacities=capacities,
         )
 
     def _run_cold(self, functions: List) -> MatchResult:
@@ -529,20 +556,15 @@ class PreparedMatching:
         pairs = list(matcher.pairs())
         cpu_seconds = time.perf_counter() - start
 
-        capacities = None
         if self._virtual_owner is not None:
             virtual_owner = self._virtual_owner
             pairs = [
                 MatchPair(
-                    pair.function_id, virtual_owner[pair.object_id],
+                    pair.function_id, int(virtual_owner[pair.object_id]),
                     pair.score, round=pair.round, rank=pair.rank,
                 )
                 for pair in pairs
             ]
-            capacities = {
-                object_id: int(config.capacities.get(object_id, 1))
-                for object_id, _ in self.objects.items()
-            }
         matched = {pair.function_id for pair in pairs}
         unmatched = [
             function.fid for function in functions
@@ -562,7 +584,7 @@ class PreparedMatching:
             unmatched_objects_count=len(problem.objects) - len(pairs),
             algorithm=getattr(matcher, "name", config.algorithm),
             backend=self.plan.backend_name,
-            capacities=capacities,
+            capacities=self._capacities,
             io=problem.io_stats.snapshot(),
             cpu_seconds=cpu_seconds,
             seed=config.seed,

@@ -92,8 +92,11 @@ class MatchResult:  # lint: frozen
         self.unmatched_objects_count = unmatched_objects_count
         self.algorithm = algorithm
         self.backend = backend
+        #: Kept as given when it is a dict: the capacitated results of
+        #: one staging share one map.
         self.capacities: Optional[Dict[int, int]] = (
-            dict(capacities) if capacities is not None else None
+            capacities if capacities is None or isinstance(capacities, dict)
+            else dict(capacities)
         )
         self.io = io
         self.cpu_seconds = cpu_seconds

@@ -14,11 +14,12 @@ actual core (``submit`` is a batch of one).
 * **duplicates** — requests whose preference digests are identical —
   are computed once and fanned out to every submitter;
 * remaining **misses** run through the *vectorized linear fast path*
-  when eligible (plain linear workloads, non-capacitated plans: all
-  functions in the batch are stacked and scored against the staged
-  objects in one numpy pass — see :mod:`repro.engine.batch` — with
-  chunks dispatched over a bounded thread pool), and through the
-  per-request tree path otherwise.
+  when eligible — plain linear workloads of at most
+  :data:`~repro.engine.plan.MAX_VECTOR_CELLS` score cells each, a lone
+  miss included, capacitated plans included: all functions in the
+  batch are stacked and scored against the staged objects in one numpy
+  pass (see :mod:`repro.engine.batch`), with chunks dispatched over a
+  bounded thread pool — and through the per-request tree path otherwise.
 
 The service adds no matching semantics of its own — every answer is
 pair-identical to a cold ``repro.match()`` on the current object set —
@@ -74,12 +75,6 @@ from .config import MatchingConfig
 from .plan import MatchingPlan, PreparedMatching
 from .request import MatchingRequest
 from .result import MatchResult
-
-#: Minimum number of distinct linear misses in one batch before the
-#: vectorized scorer engages. A single miss goes through the per-request
-#: tree path — there is nothing to amortize, and the tree matcher's
-#: sublinear traversal usually wins on one small workload.
-MIN_VECTOR_BATCH = 2
 
 #: Vectorized chunks aim for at least this many workloads per numpy
 #: pass, so tiny chunks don't forfeit the batching win to dispatch cost;
@@ -292,8 +287,8 @@ class MatchingService:
         partitioned into cache hits, in-batch duplicates (computed
         once, fanned out — duplicates share the *same* result object),
         and misses; eligible linear misses are scored in one vectorized
-        numpy pass, the rest run the per-request tree path in priority
-        order.
+        numpy pass (a lone one too), the rest run the per-request tree
+        path in priority order.
 
         Raises :class:`~repro.errors.ServiceOverloadedError` when
         admission control rejects the batch (``admission="reject"`` or
@@ -361,12 +356,6 @@ class MatchingService:
                 linear.append((key, members))
             else:
                 fallback.append((key, members))
-        if len(linear) < MIN_VECTOR_BATCH:
-            # Nothing to amortize: keep the priority order and let the
-            # tree path (which a lone request would have taken anyway)
-            # serve everything.
-            fallback = miss_groups
-            linear = []
 
         vectorized = fallback_count = 0
 

@@ -44,8 +44,9 @@ repro.errors.CodecError: request function 0 is not an exact ...
 
 from __future__ import annotations
 
+import sys
 from itertools import starmap
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.request import MatchingRequest
 from ..engine.result import PAIR_RECORD, MatchResult
@@ -157,13 +158,42 @@ def encode_result(result: MatchResult  # lint: encodes=MatchResult
     }
 
 
+#: Decoded stats dicts, one per distinct set of entries (keyed by each
+#: name and value ``repr``, so ``0``, ``0.0`` and ``-0.0`` stay apart).
+#: Emptied when it reaches :data:`_SHARED_STATS_LIMIT` entries.
+_SHARED_STATS: Dict[Tuple[Tuple[str, str], ...], Dict[str, Any]] = {}
+_SHARED_STATS_LIMIT = 256
+
+
+def _shared_stats(raw: Any) -> Dict[str, Any]:
+    """A decoded stats dict, shared with every equal one decoded before.
+
+    Results are immutable by contract, and the results of one
+    vectorized batch already share their stats dict in process; a client
+    that keeps thousands of decoded replies holds one dict per distinct
+    set of counters instead of one per reply.
+    """
+    stats = {sys.intern(str(name)): value
+             for name, value in dict(raw or {}).items()}
+    key = tuple((name, repr(value)) for name, value in stats.items())
+    shared = _SHARED_STATS.get(key)
+    if shared is None:
+        if len(_SHARED_STATS) >= _SHARED_STATS_LIMIT:
+            _SHARED_STATS.clear()
+        shared = _SHARED_STATS[key] = stats
+    return shared
+
+
 def decode_result(payload: Dict[str, Any]  # lint: decodes=MatchResult
                   ) -> MatchResult:
     """The inverse of :func:`encode_result` (identity round trip).
 
     Each pair is packed straight into the result's records, so it must
     hold exactly five numbers: ids that fit int64, a score, and a round
-    and rank that fit int32.
+    and rank that fit int32. The provenance strings and stats keys are
+    interned and equal stats dicts are shared (see
+    :func:`_shared_stats`): a client that keeps many results holds one
+    copy of each.
     """
     raw_pairs = _require(payload, "pairs", "result")
     try:
@@ -187,13 +217,13 @@ def decode_result(payload: Dict[str, Any]  # lint: decodes=MatchResult
             unmatched_objects_count=int(
                 payload.get("unmatched_objects_count", 0)
             ),
-            algorithm=str(payload.get("algorithm", "")),
-            backend=str(payload.get("backend", "")),
+            algorithm=sys.intern(str(payload.get("algorithm", ""))),
+            backend=sys.intern(str(payload.get("backend", ""))),
             capacities=capacities,
             io=io,
             cpu_seconds=float(payload.get("cpu_seconds", 0.0)),
             seed=payload.get("seed"),
-            stats=dict(payload.get("stats") or {}),
+            stats=_shared_stats(payload.get("stats")),
         )
     except CodecError:
         raise

@@ -14,6 +14,7 @@ and the three matchers produce identical matchings.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +54,7 @@ class LinearPreference:
                 raise PreferenceError(
                     f"weights must be non-negative, got {w} in function {fid}"
                 )
-            if not np.isfinite(w):
+            if not math.isfinite(w):
                 raise PreferenceError(f"weight {w} in function {fid} not finite")
         total = sum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:

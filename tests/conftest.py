@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,25 @@ def reference_score_matrix(weights, points):
     for d in range(weights.shape[1] if points.shape[0] else 0):
         scores += weights[:, d, None] * points[None, :, d]
     return scores
+
+
+def open_sockets() -> int:
+    """Sockets this process holds open (Linux: -1 elsewhere)."""
+    if not os.path.isdir("/proc/self/fd"):
+        return -1
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:  # the listing's own descriptor is gone
+            pass
+    return count
+
+
+@pytest.fixture
+def no_leaks():
+    """Fail a test that leaves a thread or a socket behind."""
+    threads, sockets = set(threading.enumerate()), open_sockets()
+    yield
+    assert set(threading.enumerate()) == threads
+    assert open_sockets() == sockets

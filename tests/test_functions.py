@@ -109,3 +109,15 @@ def test_weights_matrix_mixed_dims_rejected():
     prefs = [LinearPreference(0, (1.0,)), LinearPreference(1, (0.5, 0.5))]
     with pytest.raises(DimensionalityError):
         weights_matrix(prefs)
+
+
+@pytest.mark.parametrize("weight, message", [
+    (float("nan"), "weight nan in function 3 not finite"),
+    (float("inf"), "weight inf in function 3 not finite"),
+    (float("-inf"), "weights must be non-negative, got -inf in function 3"),
+    (-0.5, "weights must be non-negative, got -0.5 in function 3"),
+])
+def test_a_bad_weight_raises_its_preference_error(weight, message):
+    with pytest.raises(PreferenceError) as raised:
+        LinearPreference(3, (weight, 1.0))
+    assert str(raised.value) == message

@@ -4,12 +4,11 @@
 answering without closing, or close inside a frame. Either way the
 caller gets a :class:`~repro.errors.NetworkError` (chained from the
 socket error) within its socket timeout, and nothing is left behind: no
-thread, no open socket.
+thread, no open socket (the ``no_leaks`` fixture in ``conftest.py``).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import socket
 import struct
@@ -26,19 +25,6 @@ from repro.net.worker import RemoteExecutor
 
 #: The seconds every exchange in these tests may wait on a socket.
 TIMEOUT = 0.5
-
-
-def open_sockets() -> int:
-    """Sockets this process holds open (Linux: -1 elsewhere)."""
-    if not os.path.isdir("/proc/self/fd"):
-        return -1
-    count = 0
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
-        except OSError:  # the listing's own descriptor is gone
-            pass
-    return count
 
 
 def silent(conn: socket.socket, index: int) -> None:
@@ -93,15 +79,6 @@ class Peer:
         for conn in self.connections:
             conn.close()
         self.listener.close()
-
-
-@pytest.fixture
-def no_leaks():
-    """Fail a test that leaves a thread or a socket behind."""
-    threads, sockets = set(threading.enumerate()), open_sockets()
-    yield
-    assert set(threading.enumerate()) == threads
-    assert open_sockets() == sockets
 
 
 def client_call(address) -> None:

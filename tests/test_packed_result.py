@@ -232,3 +232,32 @@ def test_a_vectorized_result_holds_under_1300_bytes():
     # One batch's results share their stats dict and unmatched count.
     assert all(result.stats is held[0].stats for result in held[:8])
     assert per_result <= 1300, per_result
+
+
+def test_a_decoded_12_pair_result_holds_at_most_850_bytes():
+    """A client keeps every reply it decodes. Decoding interns the
+    provenance strings and shares equal stats dicts, so the results hold
+    one copy of each: measured over 200 decodes of one 12-pair
+    vectorized reply, the size of a serve-net miss."""
+    objects = repro.generate_independent(3000, 4, seed=5)
+    [result] = linear_batch_results(
+        objects, [repro.generate_preferences(12, 4, seed=200)],
+        algorithm="batched-sb", backend="memory")
+    body = json.dumps(encode_result(result))
+    decode_result(json.loads(body))  # first-call allocations
+    held = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            held.append(decode_result(json.loads(body)))
+        gc.collect()
+        per_result = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+    finally:
+        tracemalloc.stop()
+    assert all(one.as_set() == result.as_set() for one in held)
+    assert all(one.algorithm is held[0].algorithm for one in held)
+    assert all(one.stats is held[0].stats for one in held)
+    assert held[0].stats == result.stats
+    assert per_result <= 850, per_result

@@ -157,10 +157,12 @@ def test_sharded_prepare_defers_the_parent_tree():
 
 
 def test_empty_workload_leaves_the_parent_tree_unbuilt():
+    # prepared.run takes the plan's own (sharded) path; a service would
+    # answer both workloads with the vectorized scorer.
     objects, functions = tiny_workload(seed=96)
     with repro.MatchingService(objects, backend="disk", shards=2,
                                executor="serial") as service:
-        empty = service.submit([])
+        empty = service.prepared.run([])
         assert not service.prepared.parent_tree_built
         assert len(empty) == 0
         assert empty.algorithm == "sharded-sb"
@@ -170,8 +172,9 @@ def test_empty_workload_leaves_the_parent_tree_unbuilt():
         }
         assert empty.io_accesses == 0
         assert empty.unmatched_objects_count == len(objects)
-        served = service.submit(functions)
+        served = service.prepared.run(functions)
         assert not service.prepared.parent_tree_built
+        assert served.algorithm == "sharded-sb"
     single = repro.match(objects, functions, backend="disk")
     assert assignments(served) == assignments(single)
 
@@ -336,7 +339,11 @@ def spy_on_tree_builds(monkeypatch, backend):
 
 
 def churned_service(backend, seed):
-    """A service whose bound session just deleted and inserted objects."""
+    """A service whose bound session just deleted and inserted objects.
+
+    The one ``submit`` before the churn is a lone linear miss: the
+    vectorized scorer answers it unless a test lowers
+    ``MAX_VECTOR_CELLS``."""
     objects, functions = tiny_workload(seed=seed)
     service = repro.MatchingService(objects, backend=backend,
                                     deletion_mode="filter")
@@ -358,7 +365,8 @@ def test_churn_restage_builds_no_tree_for_a_vectorized_batch(monkeypatch,
         assert calls == []
         assert not service.prepared.parent_tree_built
         stats = service.snapshot()
-        assert stats.vectorized_requests == 2
+        assert stats.vectorized_requests == 3  # the pre-churn one too
+        assert stats.fallback_requests == 0
         assert stats.stagings == 2
     monkeypatch.undo()
     survivors = session.objects()
@@ -370,6 +378,8 @@ def test_churn_restage_builds_no_tree_for_a_vectorized_batch(monkeypatch,
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_first_tree_miss_after_churn_builds_the_tree_once(monkeypatch,
                                                           backend):
+    # With no cells allowed, every non-empty linear miss takes the tree.
+    monkeypatch.setattr("repro.engine.plan.MAX_VECTOR_CELLS", 0)
     service, session = churned_service(backend, seed=113)
     workloads = [generate_preferences(10, 3, seed=s) for s in (114, 115)]
     with service:
@@ -388,18 +398,21 @@ def test_first_tree_miss_after_churn_builds_the_tree_once(monkeypatch,
 
 def test_a_consumed_tree_is_rebuilt_by_the_next_tree_miss(monkeypatch):
     # Chain (deletion_mode="delete") consumes the tree; a vectorized
-    # batch after it needs none, so only the next tree-path run rebuilds.
+    # batch or lone miss after it needs none, so only the next tree-path
+    # run (prepared.run, the plan's own matcher) rebuilds.
     objects, functions = tiny_workload(seed=119)
     workloads = [generate_preferences(10, 3, seed=s) for s in (120, 121)]
     lone = generate_preferences(10, 3, seed=122)
     with repro.MatchingService(objects, algorithm="chain",
                                backend="memory") as service:
-        service.submit(functions)
+        service.prepared.run(functions)
         calls = spy_on_tree_builds(monkeypatch, "memory")
-        served = service.submit_many(workloads)
+        served = service.submit_many(workloads[:1])
+        served += service.submit_many(workloads[1:])
         assert calls == []
         assert not service.prepared.parent_tree_built
-        served.append(service.submit(lone))
+        assert service.snapshot().vectorized_requests == 2
+        served.append(service.prepared.run(lone))
         assert calls == [len(objects)]
         assert service.snapshot().stagings == 2
     monkeypatch.undo()

@@ -128,23 +128,24 @@ def test_submit_many_partitions_hits_duplicates_and_misses():
     a = generate_preferences(5, 3, seed=71)
     b = generate_preferences(5, 3, seed=72)
     c = generate_preferences(5, 3, seed=73)
+    d = [MinPreference(0, (1.0, 0.5, 0.25))]           # scorer refuses it
     with repro.MatchingService(objects, algorithm="sb",
                                backend="memory") as service:
         warmed = service.submit(a)                     # a is now cached
-        results = service.submit_many([a, b, c, b, list(b)])
+        results = service.submit_many([a, b, c, b, list(b), d])
         assert results[0] is warmed                    # cache hit
         assert results[1] is results[3] is results[4]  # fanned-out dups
         snap = service.snapshot()
         assert snap.cache_hits == 1
         assert snap.duplicate_hits == 2
-        assert snap.misses == 3                        # warm-up a, b, c
-        assert snap.vectorized_requests == 2           # b and c, once each
-        assert snap.fallback_requests == 1             # the warm-up a
+        assert snap.misses == 4                        # warm-up a, b, c, d
+        assert snap.vectorized_requests == 3           # a (alone), b, c
+        assert snap.fallback_requests == 1             # the non-linear d
         assert snap.vectorized_requests + snap.fallback_requests \
             == snap.misses
         assert snap.cache_hits + snap.duplicate_hits + snap.misses \
             == snap.requests
-        assert snap.requests == 6
+        assert snap.requests == 7
         assert snap.batches == 2
         assert snap.latency_p95_ms >= snap.latency_p50_ms >= 0.0
         # Batched results enter the shared cache: submit() now hits.
@@ -192,21 +193,27 @@ def test_submit_many_respects_use_cache_and_priority():
         assert service.submit(prefs) is fresh          # cache refreshed
 
 
-def test_capacitated_plans_fall_back_to_the_per_request_path():
+def test_capacitated_plans_fold_vectorized_pairs_back_to_their_owners():
     objects = repro.generate_independent(n=60, dims=2, seed=76)
-    capacities = {objects.ids[0]: 3}
+    capacities = {objects.ids[0]: 3, objects.ids[1]: 0}
     workloads = [generate_preferences(6, 2, seed=s) for s in (77, 78, 79)]
     with repro.MatchingService(objects, algorithm="sb", backend="memory",
                                capacities=capacities,
                                deletion_mode="filter") as service:
         results = service.submit_many(workloads)
-        assert service.snapshot().vectorized_requests == 0
-        assert service.snapshot().fallback_requests == len(workloads)
+        assert service.snapshot().vectorized_requests == len(workloads)
+        assert service.snapshot().fallback_requests == 0
         for result, functions in zip(results, workloads):
             cold = repro.match(objects, functions, backend="memory",
                                capacities=capacities)
-            assert result.as_set() == cold.as_set()
-            assert result.is_capacitated
+            assert triples(result) == triples(cold)
+            assert result.capacities == cold.capacities
+            assert result.unmatched_objects_count \
+                == cold.unmatched_objects_count
+            assert result.algorithm == "batched-sb"
+        # One staging's results share one capacity map.
+        assert all(result.capacities is results[0].capacities
+                   for result in results)
 
 
 def test_vectorized_path_rejects_what_the_tree_path_rejects():
