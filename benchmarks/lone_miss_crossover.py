@@ -1,9 +1,10 @@
-"""Where the vectorized scorer stops beating the tree for one workload.
+"""Time one lone workload on both paths, on shapes either side of the bound.
 
 A service routes each linear miss by its score cells (functions x
 staged objects): at most ``repro.engine.plan.MAX_VECTOR_CELLS`` go to
-the vectorized scorer, larger ones to the plan's tree matcher. This
-script times both paths on one lone workload per shape, SB on the
+the vectorized scorer, larger ones to the plan's tree matcher. The bound
+caps score memory; it is not a measured crossover. This script times
+both paths on one lone workload per shape, SB on the
 memory backend against ``PreparedMatching.run_vectorized_batch``, and
 prints a markdown table (raw milliseconds, the minimum of ``--repeats``
 runs; the result cache is cleared before every tree run):

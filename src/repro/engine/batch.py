@@ -51,7 +51,7 @@ Examples
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -148,7 +148,7 @@ def linear_batch_results(objects: Dataset,
                          backend: str = "",
                          seed: Optional[int] = None,
                          owner: Optional[np.ndarray] = None,
-                         capacities: Optional[Dict[int, int]] = None,
+                         capacities: Optional[Mapping[int, int]] = None,
                          ) -> List[MatchResult]:
     """Match every workload against ``objects`` in one vectorized pass.
 
@@ -164,9 +164,10 @@ def linear_batch_results(objects: Dataset,
     virtual objects (dense ids ``0..n-1``, as
     :func:`~repro.core.capacity.expand_capacities` stages them),
     ``owner`` maps each virtual id to its object's id, and
-    ``capacities`` is the ``{object_id: units}`` map every result
-    shares. The greedy breaks ties on virtual ids, as a tree matcher on
-    the expanded objects does, and each pair then reports its owner.
+    ``capacities`` is the ``{object_id: units}`` map (every result
+    shares a ``MappingProxyType`` and copies any other mapping). The
+    greedy breaks ties on virtual ids, as a tree matcher on the expanded
+    objects does, and each pair then reports its owner.
     """
     workloads = [list(functions) for functions in workloads]
     dims = objects.dims

@@ -48,7 +48,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import (Hashable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -79,13 +81,12 @@ _SHARD_COUNTERS = (
 _STAGING_TOKENS = itertools.count(1)
 
 #: The most score cells (functions x staged objects) one workload may
-#: have and still take the vectorized scorer: 2**21 cells are 16 MiB of
-#: float64 scores. The scorer costs the same per cell alone or batched,
-#: while the tree matchers' traversal grows sublinearly with |O|, so past
-#: some size a workload is cheaper on the tree (at 6.4M cells the two
-#: are about even on independent 4-D data, and a paper-scale 100,000 x
-#: 5,000 workload would allocate 4 GB of scores).
-#: ``benchmarks/lone_miss_crossover.py`` measures the crossover.
+#: have and still take the vectorized scorer: a cap on score memory,
+#: 2**21 float64 cells (16 MiB) per workload, that keeps paper-scale
+#: workloads (100,000 x 5,000 cells, 4 GB of scores) on the tree
+#: matchers. It is not where the tree gets faster:
+#: ``benchmarks/lone_miss_crossover.py`` times both paths on shapes
+#: either side of it.
 MAX_VECTOR_CELLS = 2 ** 21
 
 
@@ -338,19 +339,19 @@ class PreparedMatching:
         """
         config = self.plan.config
         #: Each virtual object's owner id (an int64 array indexed by
-        #: virtual id) and the ``{object_id: units}`` map that every
-        #: capacitated result of this staging shares; ``None`` when the
-        #: plan is 1-1.
+        #: virtual id) and a read-only ``{object_id: units}`` view that
+        #: every capacitated result of this staging shares; ``None`` when
+        #: the plan is 1-1.
         self._virtual_owner: Optional[np.ndarray] = None
-        self._capacities: Optional[Dict[int, int]] = None
+        self._capacities: Optional[Mapping[int, int]] = None
         expanded = objects
         if config.capacities is not None:
             expanded, owner = expand_capacities(objects, config.capacities)
             self._virtual_owner = np.asarray(owner, dtype=np.int64)
-            self._capacities = {
+            self._capacities = MappingProxyType({
                 object_id: int(config.capacities.get(object_id, 1))
                 for object_id in objects.ids
-            }
+            })
         self._expanded = expanded
         self._parts: Optional[list] = None
         self._problem = None

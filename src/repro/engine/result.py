@@ -17,6 +17,7 @@ so it keeps its pairs packed: one immutable buffer of
 from __future__ import annotations
 
 import struct
+from types import MappingProxyType
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
                     Union)
 
@@ -39,7 +40,7 @@ PAIR_DTYPE = np.dtype([("function_id", "<i8"), ("object_id", "<i8"),
 
 def _check_assignments(function_ids: Sequence[int],
                        object_ids: Sequence[int],
-                       capacities: Optional[Dict[int, int]]) -> None:
+                       capacities: Optional[Mapping[int, int]]) -> None:
     """Each function matched once, each object within its capacity.
 
     An error names the first offending pair in emission order.
@@ -87,23 +88,26 @@ class MatchResult:  # lint: frozen
                  io: Optional[IOSnapshot] = None,
                  cpu_seconds: float = 0.0,
                  seed: Optional[int] = None,
-                 stats: Optional[Dict[str, float]] = None) -> None:
+                 stats: Optional[Mapping[str, float]] = None) -> None:
         self.unmatched_functions: List[int] = list(unmatched_functions)
         self.unmatched_objects_count = unmatched_objects_count
         self.algorithm = algorithm
         self.backend = backend
-        #: Kept as given when it is a dict: the capacitated results of
-        #: one staging share one map.
-        self.capacities: Optional[Dict[int, int]] = (
-            capacities if capacities is None or isinstance(capacities, dict)
+        #: A read-only view (:class:`types.MappingProxyType`) is kept as
+        #: given, so the capacitated results of one staging share one
+        #: map; any other mapping is copied.
+        self.capacities: Optional[Mapping[int, int]] = (
+            capacities if capacities is None
+            or isinstance(capacities, MappingProxyType)
             else dict(capacities)
         )
         self.io = io
         self.cpu_seconds = cpu_seconds
         self.seed = seed
         #: Auxiliary counters (rounds, top-1 searches, ...), kept as
-        #: given: the results of one vectorized batch share one dict.
-        self.stats: Dict[str, float] = stats if stats is not None else {}
+        #: given: the results of one vectorized batch share one dict, and
+        #: equal decoded results share one read-only view.
+        self.stats: Mapping[str, float] = stats if stats is not None else {}
 
         #: The pairs in emission order, as :data:`PAIR_RECORD` records.
         self.packed: bytes
@@ -145,6 +149,16 @@ class MatchResult:  # lint: frozen
                 or len(objects) != count:
             _check_assignments(self._column("function_id"),
                                self._column("object_id"), self.capacities)
+
+    def __getstate__(self) -> tuple:
+        """Pickle and copy state: a shared read-only view (capacities,
+        decoded stats) goes as a dict, since a ``MappingProxyType``
+        cannot be pickled."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        for name in ("capacities", "stats"):
+            if isinstance(state[name], MappingProxyType):
+                state[name] = dict(state[name])
+        return None, state
 
     # ------------------------------------------------------------------
     # The packed pairs

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import sys
 from itertools import starmap
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..engine.request import MatchingRequest
 from ..engine.result import PAIR_RECORD, MatchResult
@@ -158,29 +159,24 @@ def encode_result(result: MatchResult  # lint: encodes=MatchResult
     }
 
 
-#: Decoded stats dicts, one per distinct set of entries (keyed by each
-#: name and value ``repr``, so ``0``, ``0.0`` and ``-0.0`` stay apart).
-#: Emptied when it reaches :data:`_SHARED_STATS_LIMIT` entries.
-_SHARED_STATS: Dict[Tuple[Tuple[str, str], ...], Dict[str, Any]] = {}
-_SHARED_STATS_LIMIT = 256
+#: Equal values that decoded results share, so a client that keeps
+#: thousands of replies holds one copy of each: packed pair buffers and
+#: read-only stats views (keyed by each name and value ``repr``, so
+#: ``0``, ``0.0`` and ``-0.0`` stay apart). Both are immutable, so no
+#: result can change another's. A table is emptied when it holds
+#: :data:`_SHARED_LIMIT` entries.
+_SHARED_PAIRS: Dict[bytes, bytes] = {}
+_STATS_VIEWS: Dict[Tuple[Tuple[str, str], ...], Mapping[str, Any]] = {}
+_SHARED_LIMIT = 256
 
 
-def _shared_stats(raw: Any) -> Dict[str, Any]:
-    """A decoded stats dict, shared with every equal one decoded before.
-
-    Results are immutable by contract, and the results of one
-    vectorized batch already share their stats dict in process; a client
-    that keeps thousands of decoded replies holds one dict per distinct
-    set of counters instead of one per reply.
-    """
-    stats = {sys.intern(str(name)): value
-             for name, value in dict(raw or {}).items()}
-    key = tuple((name, repr(value)) for name, value in stats.items())
-    shared = _SHARED_STATS.get(key)
+def _shared(table: Dict[Any, Any], key: Any, value: Any) -> Any:
+    """``table``'s value for ``key``, after storing ``value`` if none."""
+    shared = table.get(key)
     if shared is None:
-        if len(_SHARED_STATS) >= _SHARED_STATS_LIMIT:
-            _SHARED_STATS.clear()
-        shared = _SHARED_STATS[key] = stats
+        if len(table) >= _SHARED_LIMIT:
+            table.clear()
+        shared = table[key] = value
     return shared
 
 
@@ -190,20 +186,22 @@ def decode_result(payload: Dict[str, Any]  # lint: decodes=MatchResult
 
     Each pair is packed straight into the result's records, so it must
     hold exactly five numbers: ids that fit int64, a score, and a round
-    and rank that fit int32. The provenance strings and stats keys are
-    interned and equal stats dicts are shared (see
-    :func:`_shared_stats`): a client that keeps many results holds one
-    copy of each.
+    and rank that fit int32. The provenance strings are interned, and
+    equal pair buffers and stats are shared (see :data:`_SHARED_PAIRS`),
+    so a client that keeps many results holds one copy of each.
     """
     raw_pairs = _require(payload, "pairs", "result")
     try:
         pairs = b"".join(starmap(PAIR_RECORD.pack, raw_pairs))
+        pairs = _shared(_SHARED_PAIRS, pairs, pairs)
         capacities: Optional[Dict[int, int]] = None
         if payload.get("capacities") is not None:
             capacities = {
                 int(oid): int(units)
                 for oid, units in payload["capacities"]
             }
+        stats = {sys.intern(str(name)): value
+                 for name, value in dict(payload.get("stats") or {}).items()}
         io: Optional[IOSnapshot] = None
         if payload.get("io") is not None:
             io = IOSnapshot(
@@ -223,7 +221,10 @@ def decode_result(payload: Dict[str, Any]  # lint: decodes=MatchResult
             io=io,
             cpu_seconds=float(payload.get("cpu_seconds", 0.0)),
             seed=payload.get("seed"),
-            stats=_shared_stats(payload.get("stats")),
+            stats=_shared(_STATS_VIEWS,
+                          tuple((name, repr(value))
+                                for name, value in stats.items()),
+                          MappingProxyType(stats)),
         )
     except CodecError:
         raise

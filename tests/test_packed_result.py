@@ -236,28 +236,47 @@ def test_a_vectorized_result_holds_under_1300_bytes():
 
 def test_a_decoded_12_pair_result_holds_at_most_850_bytes():
     """A client keeps every reply it decodes. Decoding interns the
-    provenance strings and shares equal stats dicts, so the results hold
-    one copy of each: measured over 200 decodes of one 12-pair
-    vectorized reply, the size of a serve-net miss."""
+    provenance strings and shares one read-only view of equal stats, so
+    the results hold one copy of each: measured over 200 decodes of
+    distinct 12-pair vectorized replies, the size of a serve-net miss."""
     objects = repro.generate_independent(3000, 4, seed=5)
-    [result] = linear_batch_results(
-        objects, [repro.generate_preferences(12, 4, seed=200)],
+    results = linear_batch_results(
+        objects, [repro.generate_preferences(12, 4, seed=200 + n)
+                  for n in range(200)],
         algorithm="batched-sb", backend="memory")
-    body = json.dumps(encode_result(result))
-    decode_result(json.loads(body))  # first-call allocations
+    bodies = [json.dumps(encode_result(result)) for result in results]
+    decode_result(json.loads(bodies[0]))  # first-call allocations
     held = []
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(200):
+        for body in bodies:
             held.append(decode_result(json.loads(body)))
         gc.collect()
         per_result = (tracemalloc.get_traced_memory()[0] - before) / len(held)
     finally:
         tracemalloc.stop()
-    assert all(one.as_set() == result.as_set() for one in held)
+    assert all(one.as_set() == result.as_set()
+               for one, result in zip(held, results))
     assert all(one.algorithm is held[0].algorithm for one in held)
     assert all(one.stats is held[0].stats for one in held)
-    assert held[0].stats == result.stats
+    assert held[0].stats == results[0].stats
+    with pytest.raises(TypeError):
+        held[0].stats["rounds"] = 0  # no result can change another's
+    twin = pickle.loads(pickle.dumps(held[0]))
+    assert twin.stats == results[0].stats and type(twin.stats) is dict
     assert per_result <= 850, per_result
+
+
+def test_equal_decoded_replies_share_their_pair_buffer():
+    """A repeated reply (a cache hit served again) costs its client no
+    second copy of the pairs; a different one gets its own."""
+    objects = repro.generate_independent(300, 3, seed=6)
+    first, second = linear_batch_results(
+        objects, [repro.generate_preferences(5, 3, seed=s) for s in (1, 2)])
+    one, again, other = (decode_result(json.loads(json.dumps(
+        encode_result(result)))) for result in (first, first, second))
+    assert one is not again and one.packed is again.packed
+    assert one.packed == first.packed
+    assert other.packed == second.packed != one.packed

@@ -4,6 +4,8 @@ duplicate, cached, linear, and non-linear workloads — plus the
 vectorized-vs-tree agreement property on tie-heavy grids, admission
 control, the thread-safe result cache, and deterministic close()."""
 
+import copy
+import pickle
 import threading
 
 import pytest
@@ -11,9 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.core.result import MatchPair
 from repro.data import Dataset
 from repro.engine.cache import ResultCache
 from repro.engine.request import MatchingRequest
+from repro.engine.result import MatchResult
 from repro.errors import MatchingError, ServiceOverloadedError
 from repro.prefs import LinearPreference, MinPreference, generate_preferences
 
@@ -211,9 +215,26 @@ def test_capacitated_plans_fold_vectorized_pairs_back_to_their_owners():
             assert result.unmatched_objects_count \
                 == cold.unmatched_objects_count
             assert result.algorithm == "batched-sb"
-        # One staging's results share one capacity map.
+        # One staging's results share one read-only capacity map, and
+        # still pickle and copy as plain results.
         assert all(result.capacities is results[0].capacities
                    for result in results)
+        with pytest.raises(TypeError):
+            results[0].capacities[objects.ids[0]] = 1
+        for clone in (pickle.loads(pickle.dumps(results[0])),
+                      copy.deepcopy(results[0])):
+            assert triples(clone) == triples(results[0])
+            assert clone.capacities == dict(results[0].capacities)
+            assert type(clone.capacities) is dict
+
+
+def test_a_result_copies_a_capacity_dict_it_is_given():
+    capacities = {7: 2}
+    result = MatchResult([MatchPair(0, 7, 0.5), MatchPair(1, 7, 0.25)],
+                         capacities=capacities)
+    capacities[7] = 1
+    assert result.capacities == {7: 2}
+    assert result.capacities is not capacities
 
 
 def test_vectorized_path_rejects_what_the_tree_path_rejects():
